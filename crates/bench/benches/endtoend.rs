@@ -6,13 +6,16 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate, SimConfig};
+use hbat_cpu::{simulate_uops, SimConfig};
+use hbat_isa::uop::PredecodedTrace;
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn bench_endtoend(c: &mut Criterion) {
-    let trace = Benchmark::Espresso
-        .build(&WorkloadConfig::new(Scale::Test))
-        .trace();
+    let trace = PredecodedTrace::predecode(
+        &Benchmark::Espresso
+            .build(&WorkloadConfig::new(Scale::Test))
+            .trace(),
+    );
     let mut group = c.benchmark_group("simulate_endtoend");
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(20);
@@ -22,7 +25,7 @@ fn bench_endtoend(c: &mut Criterion) {
             let cfg = SimConfig::baseline();
             b.iter(|| {
                 let mut tlb = spec.build(PageGeometry::KB4, 1996);
-                black_box(simulate(&cfg, &trace, tlb.as_mut()))
+                black_box(simulate_uops(&cfg, &trace, tlb.as_mut()))
             })
         });
     }
@@ -31,7 +34,7 @@ fn bench_endtoend(c: &mut Criterion) {
         let spec = DesignSpec::parse("T4").expect("known design");
         b.iter(|| {
             let mut tlb = spec.build(PageGeometry::KB4, 1996);
-            black_box(simulate(&cfg, &trace, tlb.as_mut()))
+            black_box(simulate_uops(&cfg, &trace, tlb.as_mut()))
         })
     });
     group.finish();

@@ -1,10 +1,10 @@
 //! Criterion micro-benchmark for the observability layer's overhead:
 //! the same engine run three ways on the same trace and design.
 //!
-//! * `null` — `simulate` (the default `NullRecorder` instantiation);
+//! * `null` — `simulate_uops` (the default `NullRecorder` instantiation);
 //!   `Recorder::ENABLED = false` compiles every probe out, so this must
 //!   be within noise of the pre-observability engine;
-//! * `trace` — `simulate_with_recorder` with a full [`TraceRecorder`]
+//! * `trace` — the engine under a full [`TraceRecorder`]
 //!   (counters + histograms + bounded event buffer);
 //! * `trace_counters` — a `TraceRecorder` with the event buffer sized
 //!   to zero, the configuration observed sweeps effectively pay for.
@@ -16,13 +16,15 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate, simulate_with_recorder, SimConfig};
+use hbat_cpu::engine::Engine;
+use hbat_cpu::{simulate_uops, SimConfig};
+use hbat_isa::uop::PredecodedTrace;
 use hbat_obs::TraceRecorder;
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let cfg = WorkloadConfig::new(Scale::Test);
-    let trace = Benchmark::Compress.build(&cfg).trace();
+    let trace = PredecodedTrace::predecode(&Benchmark::Compress.build(&cfg).trace());
     let spec = DesignSpec::parse("M8").expect("known design");
     let sim = SimConfig::baseline();
 
@@ -33,14 +35,14 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.bench_function("null", |b| {
         b.iter(|| {
             let mut tlb = spec.build(PageGeometry::KB4, 1996);
-            black_box(simulate(&sim, &trace, tlb.as_mut()))
+            black_box(simulate_uops(&sim, &trace, tlb.as_mut()))
         })
     });
     group.bench_function("trace", |b| {
         b.iter(|| {
             let mut tlb = spec.build(PageGeometry::KB4, 1996);
             let mut rec = TraceRecorder::new();
-            black_box(simulate_with_recorder(&sim, &trace, tlb.as_mut(), &mut rec))
+            black_box(Engine::with_recorder(&sim, &trace, tlb.as_mut(), &mut rec).run())
         })
     });
     group.bench_function("trace_counters", |b| {
@@ -48,7 +50,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
             let mut tlb = spec.build(PageGeometry::KB4, 1996);
             let mut rec = TraceRecorder::new();
             rec.set_event_capacity(0);
-            black_box(simulate_with_recorder(&sim, &trace, tlb.as_mut(), &mut rec))
+            black_box(Engine::with_recorder(&sim, &trace, tlb.as_mut(), &mut rec).run())
         })
     });
     group.finish();

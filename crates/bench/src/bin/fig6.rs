@@ -2,9 +2,10 @@
 //! to 128 entries (LRU replacement up to 16 entries, random from 32), per
 //! benchmark plus the run-time weighted average.
 
-use hbat_bench::experiment::{run_cell, scale_from_args, trace_for, ExperimentConfig};
+use hbat_bench::experiment::{run_cell, scale_from_args, uops_for, ExperimentConfig};
 use hbat_bench::missrate::{miss_rate_percent, FIG6_SIZES};
 use hbat_core::designs::spec::DesignSpec;
+use hbat_obs::NullRecorder;
 use hbat_stats::agg::weighted_average;
 use hbat_stats::table::{fnum, TextTable};
 use hbat_workloads::Benchmark;
@@ -22,8 +23,14 @@ fn main() {
     let mut weights = Vec::new();
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); FIG6_SIZES.len()];
     for bench in Benchmark::ALL {
-        let trace = trace_for(bench, &cfg);
-        let t4 = run_cell(&trace, DesignSpec::MultiPorted { ports: 4 }, &cfg);
+        let (trace, uops) = uops_for(bench, &cfg);
+        let t4 = run_cell(
+            &uops,
+            None,
+            DesignSpec::MultiPorted { ports: 4 },
+            &cfg,
+            NullRecorder,
+        );
         weights.push(t4.cycles as f64);
         let mut cells = vec![bench.name().to_owned()];
         for (i, (entries, policy)) in FIG6_SIZES.iter().enumerate() {

@@ -9,8 +9,9 @@
 //!
 //! Run: `cargo run --release -p hbat-bench --bin figs [scale]`
 
-use hbat_bench::experiment::{scale_from_args, sweep_table2, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_bench::TraceCache;
+use hbat_core::designs::spec::DesignSpec;
 
 fn main() {
     let scale = scale_from_args();
@@ -32,8 +33,11 @@ fn main() {
             ExperimentConfig::baseline(scale).with_small_regs(),
         ),
     ];
+    let mut failed = false;
     for (title, cfg) in figures {
-        let r = sweep_table2(&cfg);
+        let r = sweep_ft(&DesignSpec::TABLE2, &cfg, &SweepOptions::default())
+            .expect("a sweep without a journal does no I/O");
+        failed |= !r.manifest.is_empty();
         println!(
             "{}\n",
             r.render_figure(&format!("{title} ({scale:?} scale)"))
@@ -46,4 +50,7 @@ fn main() {
         cache.misses(),
         cache.hits()
     );
+    if failed {
+        std::process::exit(1);
+    }
 }

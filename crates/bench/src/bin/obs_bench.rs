@@ -12,10 +12,9 @@
 use std::path::Path;
 
 use hbat_bench::executor::{timed, JsonReport};
-use hbat_bench::experiment::{
-    run_cell_uops, run_cell_uops_traced, scale_from_args, uops_for, ExperimentConfig,
-};
+use hbat_bench::experiment::{run_cell, scale_from_args, uops_for, ExperimentConfig};
 use hbat_core::designs::spec::DesignSpec;
+use hbat_obs::{NullRecorder, TraceRecorder};
 use hbat_workloads::Benchmark;
 
 /// The frozen null-path measurement from before the predecode rewrite
@@ -31,11 +30,17 @@ fn main() {
     let design = DesignSpec::parse("M8").expect("known design");
     let (trace, uops) = uops_for(bench, &cfg);
     let reps = 5u32;
+    let null = || run_cell(uops.ops(), None, design, &cfg, NullRecorder);
+    let traced = || {
+        let mut rec = TraceRecorder::new();
+        let metrics = run_cell(uops.ops(), None, design, &cfg, &mut rec);
+        (metrics, rec)
+    };
 
     // Warm-up both paths once, then time `reps` alternating pairs so
     // drift (thermal, cache) hits both sides equally.
-    let warm_null = run_cell_uops(uops.ops(), design, &cfg);
-    let (warm_traced, rec) = run_cell_uops_traced(uops.ops(), design, &cfg);
+    let warm_null = null();
+    let (warm_traced, rec) = traced();
     assert_eq!(
         warm_null, warm_traced,
         "recording changed the simulation -- observability contract broken"
@@ -45,9 +50,9 @@ fn main() {
     let mut null_s = 0.0f64;
     let mut traced_s = 0.0f64;
     for _ in 0..reps {
-        let (_, d) = timed(|| run_cell_uops(uops.ops(), design, &cfg));
+        let (_, d) = timed(null);
         null_s += d.as_secs_f64();
-        let (_, d) = timed(|| run_cell_uops_traced(uops.ops(), design, &cfg));
+        let (_, d) = timed(traced);
         traced_s += d.as_secs_f64();
     }
     let null_ms = null_s * 1e3 / f64::from(reps);

@@ -14,10 +14,11 @@
 use std::path::Path;
 
 use hbat_bench::executor::{timed, JsonReport};
-use hbat_bench::experiment::{run_cell_uops, scale_from_args, ExperimentConfig};
+use hbat_bench::experiment::{run_cell, scale_from_args, ExperimentConfig};
 use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_isa::uop::PredecodedTrace;
+use hbat_obs::NullRecorder;
 use hbat_stats::ConfLevel;
 use hbat_workloads::Benchmark;
 
@@ -37,13 +38,13 @@ fn main() {
 
     // Warm both paths once (page in the trace, JIT the branch history),
     // then time alternating pairs so drift hits both sides equally.
-    let full_warm = run_cell_uops(uops.ops(), design, &cfg);
+    let full_warm = run_cell(uops.ops(), None, design, &cfg, NullRecorder);
     let sampled_warm = run_sampled_uops(uops.ops(), design, &cfg, None, &plan);
 
     let mut full_s = 0.0f64;
     let mut sampled_s = 0.0f64;
     for _ in 0..reps {
-        let (_, d) = timed(|| run_cell_uops(uops.ops(), design, &cfg));
+        let (_, d) = timed(|| run_cell(uops.ops(), None, design, &cfg, NullRecorder));
         full_s += d.as_secs_f64();
         let (_, d) = timed(|| run_sampled_uops(uops.ops(), design, &cfg, None, &plan));
         sampled_s += d.as_secs_f64();

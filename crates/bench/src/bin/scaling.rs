@@ -8,10 +8,10 @@
 //!
 //! Run: `cargo run --release -p hbat-bench --bin scaling [scale]`
 
-use hbat_bench::experiment::{scale_from_args, sweep, ExperimentConfig};
+use hbat_bench::experiment::{scale_from_args, sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::SimConfig;
-use hbat_stats::table::{fnum, TextTable};
+use hbat_stats::table::{fnum_opt, percent_opt, TextTable};
 
 fn main() {
     let scale = scale_from_args();
@@ -43,13 +43,14 @@ fn main() {
             },
             ..ExperimentConfig::baseline(scale)
         };
-        let r = sweep(&designs, &cfg);
+        let r = sweep_ft(&designs, &cfg, &SweepOptions::default())
+            .expect("a sweep without a journal does no I/O");
         t.row(vec![
             width.to_string(),
             ldst.to_string(),
-            fnum(r.weighted_ipc(designs[0]), 3),
-            format!("{:5.1}%", r.relative_ipc(designs[1]) * 100.0),
-            format!("{:5.1}%", r.relative_ipc(designs[2]) * 100.0),
+            fnum_opt(r.weighted_ipc(designs[0]), 3),
+            percent_opt(r.relative_ipc(designs[1])),
+            percent_opt(r.relative_ipc(designs[2])),
         ]);
     }
     println!(

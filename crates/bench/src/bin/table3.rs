@@ -6,8 +6,9 @@
 //! cycle, and branch prediction rate are the comparable columns. Wrong
 //! paths are not simulated, so issue and commit rates coincide here.
 
-use hbat_bench::experiment::{run_cell, scale_from_args, trace_for, ExperimentConfig};
+use hbat_bench::experiment::{run_cell, scale_from_args, uops_for, ExperimentConfig};
 use hbat_core::designs::spec::DesignSpec;
+use hbat_obs::NullRecorder;
 use hbat_stats::table::{fnum, percent, TextTable};
 use hbat_workloads::Benchmark;
 
@@ -27,8 +28,14 @@ fn main() {
     ]);
     t.numeric();
     for bench in Benchmark::ALL {
-        let trace = trace_for(bench, &cfg);
-        let m = run_cell(&trace, DesignSpec::MultiPorted { ports: 4 }, &cfg);
+        let (_, uops) = uops_for(bench, &cfg);
+        let m = run_cell(
+            &uops,
+            None,
+            DesignSpec::MultiPorted { ports: 4 },
+            &cfg,
+            NullRecorder,
+        );
         t.row(vec![
             bench.name().to_owned(),
             fnum(m.committed as f64 / 1e3, 1),

@@ -1,16 +1,23 @@
-//! Measures the predecoded micro-op engine against the legacy
-//! `TraceInst` decode path — the same workload replayed through both on
-//! every Table-2 design — verifies the metrics are bit-identical, and
-//! records the measurement in `results/BENCH_uop.json`.
+//! Times the predecoded micro-op engine — the simulator's one engine
+//! input — on every Table-2 design, checks its metrics against the
+//! frozen golden digests, and records the measurement in
+//! `results/BENCH_uop.json`.
+//!
+//! The correctness gate replays Compress at `Scale::Test` on all 13
+//! designs and compares each cell's digest with its row in
+//! `crates/bench/tests/data/golden_cells.tsv` (the oracle the `golden`
+//! test suite checks); the timing runs at the requested scale.
 //!
 //! Run: `cargo run --release -p hbat-bench --bin uop_bench [scale]`
 
 use std::path::Path;
 
 use hbat_bench::executor::{timed, JsonReport};
-use hbat_bench::experiment::{run_cell, run_cell_uops, scale_from_args, ExperimentConfig};
+use hbat_bench::experiment::{run_cell, scale_from_args, uops_for, ExperimentConfig};
+use hbat_bench::journal::fnv1a_hex;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_isa::uop::PredecodedTrace;
+use hbat_obs::{IntervalRecord, NullRecorder};
 use hbat_workloads::{Benchmark, Scale};
 
 /// The frozen pre-predecode engine time for this cell (M8, Compress,
@@ -29,6 +36,18 @@ fn frozen_baseline_ms() -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// The golden out-of-order digest of `bench` on `design` at test scale.
+fn golden_digest(bench: Benchmark, design: DesignSpec) -> Option<&'static str> {
+    include_str!("../../tests/data/golden_cells.tsv")
+        .lines()
+        .find_map(|l| {
+            let f: Vec<&str> = l.split('\t').collect();
+            let hit =
+                f.len() == 4 && f[0] == "ooo" && f[1] == bench.name() && f[2] == design.mnemonic();
+            hit.then_some(f[3])
+        })
+}
+
 fn main() {
     let scale = scale_from_args();
     let cfg = ExperimentConfig::baseline(scale);
@@ -37,6 +56,22 @@ fn main() {
     let trace = bench.build(&cfg.workload).trace();
     let (uops, predecode) = timed(|| PredecodedTrace::predecode(&trace));
     let reps = 5u32;
+
+    // Correctness first: the engine must reproduce the frozen digests.
+    let test_cfg = ExperimentConfig::baseline(Scale::Test);
+    let (_, test_uops) = uops_for(bench, &test_cfg);
+    for design in designs {
+        let m = run_cell(&test_uops, None, design, &test_cfg, NullRecorder);
+        // A full detailed run has no sampled windows.
+        let windows: &[IntervalRecord] = &[];
+        let got = fnv1a_hex(&format!("{m:?}{windows:?}"));
+        assert_eq!(
+            Some(got.as_str()),
+            golden_digest(bench, design),
+            "{bench}/{} diverged from its golden digest",
+            design.mnemonic()
+        );
+    }
 
     let mut report = JsonReport::new();
     report
@@ -48,42 +83,19 @@ fn main() {
         .int("reps", u64::from(reps))
         .num("predecode_ms", predecode.as_secs_f64() * 1e3);
 
-    let mut legacy_total = 0.0f64;
     let mut uop_total = 0.0f64;
     for design in designs {
-        // Warm-up both paths once and gate on bit-identical metrics,
-        // then time `reps` alternating pairs so drift (thermal, cache)
-        // hits both sides equally.
-        let warm_legacy = run_cell(&trace, design, &cfg);
-        let warm_uop = run_cell_uops(&uops, design, &cfg);
-        assert_eq!(
-            warm_legacy,
-            warm_uop,
-            "predecoded engine diverged from the legacy decoder on {}",
-            design.mnemonic()
-        );
-
-        let mut legacy_s = 0.0f64;
+        // One warm-up run, then `reps` timed ones.
+        run_cell(&uops, None, design, &cfg, NullRecorder);
         let mut uop_s = 0.0f64;
         for _ in 0..reps {
-            let (_, d) = timed(|| run_cell(&trace, design, &cfg));
-            legacy_s += d.as_secs_f64();
-            let (_, d) = timed(|| run_cell_uops(&uops, design, &cfg));
+            let (_, d) = timed(|| run_cell(&uops, None, design, &cfg, NullRecorder));
             uop_s += d.as_secs_f64();
         }
-        let legacy_ms = legacy_s * 1e3 / f64::from(reps);
         let uop_ms = uop_s * 1e3 / f64::from(reps);
-        legacy_total += legacy_ms;
         uop_total += uop_ms;
-        println!(
-            "{:>4}: legacy {legacy_ms:8.3} ms, uop {uop_ms:8.3} ms ({:.2}x), \
-             metrics bit-identical",
-            design.mnemonic(),
-            legacy_ms / uop_ms.max(1e-9)
-        );
-        report
-            .num(&format!("legacy_ms_{}", design.mnemonic()), legacy_ms)
-            .num(&format!("uop_ms_{}", design.mnemonic()), uop_ms);
+        println!("{:>4}: {uop_ms:8.3} ms", design.mnemonic());
+        report.num(&format!("uop_ms_{}", design.mnemonic()), uop_ms);
         // The frozen BENCH_obs.json baseline timed exactly this cell
         // (M8 / Compress / small) on the pre-predecode engine; record
         // the like-for-like speedup against it.
@@ -101,18 +113,14 @@ fn main() {
         }
     }
 
-    let speedup = legacy_total / uop_total.max(1e-9);
     println!(
-        "uop engine, {scale:?} scale, {bench} x {} designs: \
-         legacy {legacy_total:.1} ms, uop {uop_total:.1} ms ({speedup:.2}x), \
-         all metrics bit-identical",
+        "uop engine, {scale:?} scale, {bench} x {} designs: {uop_total:.1} ms, \
+         test-scale metrics match the golden digests",
         designs.len()
     );
 
     report
-        .num("legacy_ms", legacy_total)
         .num("uop_ms", uop_total)
-        .num("speedup", speedup)
         .bool("identical_metrics", true);
     let path = Path::new("results/BENCH_uop.json");
     report.write(path).expect("write results/BENCH_uop.json");

@@ -17,27 +17,24 @@ use std::sync::Arc;
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{
-    simulate, simulate_uops, simulate_uops_with_recorder, simulate_with_recorder, RunMetrics,
-    SimConfig,
-};
+use hbat_cpu::engine::Engine;
+use hbat_cpu::{RunMetrics, SimConfig, WarmState};
 use hbat_isa::trace::TraceInst;
 use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::{MicroOp, PredecodedTrace};
-use hbat_obs::{prof, IntervalRecord, IntervalRecorder, PortResource, Tee, TraceRecorder};
+use hbat_obs::{
+    prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Recorder, Tee,
+    TraceRecorder,
+};
 use hbat_stats::agg::runtime_weighted_ipc;
 use hbat_stats::chart::BarChart;
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 use hbat_stats::table::{fnum, fnum_opt, percent_opt, TextTable};
 use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
-use crate::ckpt::{
-    build_warm_trace, ckpt_fingerprint, run_warm_cell, run_warm_cell_with, CheckpointOptions,
-    WarmTrace,
-};
+use crate::ckpt::{build_warm_trace, ckpt_fingerprint, CheckpointOptions, WarmTrace};
 use crate::executor::{
-    parallel_map, parallel_map_outcomes, timed, worker_threads, RunPolicy, SweepTelemetry,
-    TraceCache,
+    parallel_map_outcomes, timed, worker_threads, RunPolicy, SweepTelemetry, TraceCache,
 };
 use crate::faults::{FaultKind, FaultPlan};
 use crate::journal::{
@@ -47,11 +44,6 @@ use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
 use crate::sample::{
     ckpt_sample_fingerprint, ipc_interval, run_sampled_uops, sample_fingerprint, SamplePlan,
 };
-
-/// A built workload in both forms: the raw trace (kept for paths that
-/// serialise `TraceInst` records) and its predecoded micro-ops (what
-/// cells actually execute).
-type BuiltTrace = (Arc<[TraceInst]>, Arc<PredecodedTrace>);
 
 /// Everything one experiment (one figure) varies.
 #[derive(Debug, Clone)]
@@ -121,93 +113,6 @@ pub struct CellResult {
     pub windows: Vec<IntervalRecord>,
 }
 
-/// The result of sweeping `designs` over all ten benchmarks.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// Designs in presentation order.
-    pub designs: Vec<DesignSpec>,
-    /// Row-major: `cells[bench][design]`.
-    pub cells: Vec<Vec<CellResult>>,
-    /// Where the sweep's wall time went.
-    pub telemetry: SweepTelemetry,
-}
-
-impl SweepResult {
-    /// Per-design run-time weighted average IPC (weighted by each
-    /// benchmark's T4 run time, per the paper). Falls back to the first
-    /// design's run time when T4 is not part of the sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `design` is not one of this sweep's designs.
-    pub fn weighted_ipc(&self, design: DesignSpec) -> f64 {
-        let weight_col = self
-            .designs
-            .iter()
-            .position(|d| *d == DesignSpec::MultiPorted { ports: 4 })
-            .unwrap_or(0);
-        let col = self
-            .designs
-            .iter()
-            .position(|d| *d == design)
-            .expect("design not part of this sweep");
-        let ipcs: Vec<f64> = self
-            .cells
-            .iter()
-            .map(|row| row[col].metrics.ipc())
-            .collect();
-        let weights: Vec<u64> = self
-            .cells
-            .iter()
-            .map(|row| row[weight_col].metrics.cycles)
-            .collect();
-        runtime_weighted_ipc(&ipcs, &weights)
-    }
-
-    /// IPC of `design` normalised to T4's, the paper's figure metric.
-    pub fn relative_ipc(&self, design: DesignSpec) -> f64 {
-        let t4 = self.weighted_ipc(DesignSpec::MultiPorted { ports: 4 });
-        if t4 == 0.0 {
-            0.0
-        } else {
-            self.weighted_ipc(design) / t4
-        }
-    }
-
-    /// Renders the figure as a text table plus the paper-style bar chart:
-    /// one row/bar per design, relative to T4.
-    pub fn render_figure(&self, title: &str) -> String {
-        let mut t = TextTable::new(vec!["design", "weighted IPC", "vs T4"]);
-        t.numeric();
-        let mut chart = BarChart::new("relative IPC (normalised to T4)", 50)
-            .with_max(1.0)
-            .percent();
-        for d in &self.designs {
-            t.row(vec![
-                d.mnemonic().to_owned(),
-                fnum(self.weighted_ipc(*d), 4),
-                format!("{:5.1}%", self.relative_ipc(*d) * 100.0),
-            ]);
-            chart.bar(d.mnemonic(), self.relative_ipc(*d));
-        }
-        format!("{title}\n{}\n{}", t.render(), chart.render())
-    }
-
-    /// Renders the per-benchmark detail (the paper's FTP results file).
-    pub fn render_details(&self) -> String {
-        let mut headers = vec!["program".to_owned()];
-        headers.extend(self.designs.iter().map(|d| d.mnemonic().to_owned()));
-        let mut t = TextTable::new(headers);
-        t.numeric();
-        for row in &self.cells {
-            let mut cells = vec![row[0].bench.name().to_owned()];
-            cells.extend(row.iter().map(|c| fnum(c.metrics.ipc(), 3)));
-            t.row(cells);
-        }
-        t.render()
-    }
-}
-
 /// Generates the dynamic trace for one benchmark under `cfg` through the
 /// process-wide cache: the first request builds it, later requests for
 /// the same workload share the stored copy.
@@ -224,164 +129,27 @@ pub fn uops_for(
     TraceCache::global().get_or_build_uops(bench, &cfg.workload)
 }
 
-/// Runs one (trace, design) cell through the legacy `TraceInst` decoder.
-pub fn run_cell(trace: &[TraceInst], design: DesignSpec, cfg: &ExperimentConfig) -> RunMetrics {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate(&cfg.sim, trace, translator.as_mut())
-}
-
-/// Runs one (micro-ops, design) cell through the predecoded engine.
-/// Bit-identical metrics to [`run_cell`] on the same workload (the
-/// `uop_parity` suite pins this); the sweeps use this path.
-pub fn run_cell_uops(uops: &[MicroOp], design: DesignSpec, cfg: &ExperimentConfig) -> RunMetrics {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate_uops(&cfg.sim, uops, translator.as_mut())
-}
-
-/// [`run_cell_uops`] under a [`TraceRecorder`]; see [`run_cell_traced`].
-pub fn run_cell_uops_traced(
-    uops: &[MicroOp],
-    design: DesignSpec,
-    cfg: &ExperimentConfig,
-) -> (RunMetrics, TraceRecorder) {
-    let mut rec = TraceRecorder::new();
-    let metrics = run_cell_uops_with(uops, design, cfg, &mut rec);
-    (metrics, rec)
-}
-
-/// [`run_cell_uops`] under any recorder — the form the interval paths
-/// use (an [`hbat_obs::IntervalRecorder`], or a [`hbat_obs::Tee`] of
-/// trace + interval). Metrics are bit-identical whatever `R` is; the
-/// recorder only reads.
-pub fn run_cell_uops_with<R: hbat_obs::Recorder>(
-    uops: &[MicroOp],
+/// Runs one (micro-ops, design) timing cell — the one detailed runner
+/// behind every sweep arm, figure binary and CLI command. `warm` (a
+/// checkpointed sweep's boundary state, see [`crate::ckpt`]) is
+/// installed before the replay; `rec` observes the run.
+///
+/// Metrics are bit-identical whatever `R` is — the recorder only reads.
+/// Unobserved runs pass [`NullRecorder`]: any enabled recorder turns
+/// off the engine's sleep/wake fast path.
+pub fn run_cell<R: Recorder>(
+    ops: &[MicroOp],
+    warm: Option<&WarmState>,
     design: DesignSpec,
     cfg: &ExperimentConfig,
     rec: R,
 ) -> RunMetrics {
     let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    simulate_uops_with_recorder(&cfg.sim, uops, translator.as_mut(), rec)
-}
-
-/// Runs one (trace, design) cell under a [`TraceRecorder`] and returns
-/// the metrics together with the recorder. The metrics are bit-identical
-/// to [`run_cell`]'s (the observability contract, tested in
-/// `crates/cpu/tests/observability.rs` and `tests/obs.rs`).
-pub fn run_cell_traced(
-    trace: &[TraceInst],
-    design: DesignSpec,
-    cfg: &ExperimentConfig,
-) -> (RunMetrics, TraceRecorder) {
-    let mut translator = design.build(cfg.geometry, cfg.design_seed);
-    let mut rec = TraceRecorder::new();
-    let metrics = simulate_with_recorder(&cfg.sim, trace, translator.as_mut(), &mut rec);
-    (metrics, rec)
-}
-
-/// Sweeps `designs` over all ten benchmarks on [`worker_threads`]
-/// workers, sharing traces through the process-wide cache.
-pub fn sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
-    sweep_on(designs, cfg, worker_threads(), TraceCache::global())
-}
-
-/// [`sweep`] with explicit worker count and trace cache — the form the
-/// determinism tests and the sweep benchmark drive directly.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by any trace build or cell run —
-/// this is the fail-fast sweep; [`sweep_ft_on`] is the isolating one.
-pub fn sweep_on(
-    designs: &[DesignSpec],
-    cfg: &ExperimentConfig,
-    threads: usize,
-    cache: &TraceCache,
-) -> SweepResult {
-    let benches = Benchmark::ALL;
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-
-    // Phase 1: every distinct trace, built and predecoded in parallel.
-    let (traces, trace_build) = {
-        let _prof = prof::scope("trace-build");
-        timed(|| {
-            parallel_map(benches.len(), threads, |bi| {
-                let (_raw, uops) = cache.get_or_build_uops(benches[bi], &cfg.workload);
-                uops
-            })
-        })
-    };
-
-    // Phase 2: one queue of benchmark × design cells; workers claim the
-    // next cell until the queue drains.
-    let n_cells = benches.len() * designs.len();
-    let (flat, cell_exec) = {
-        let _prof = prof::scope("detailed-run");
-        timed(|| {
-            parallel_map(n_cells, threads, |i| {
-                let (bi, di) = (i / designs.len(), i % designs.len());
-                CellResult {
-                    bench: benches[bi],
-                    design: designs[di],
-                    metrics: run_cell_uops(&traces[bi], designs[di], cfg),
-                    windows: Vec::new(),
-                }
-            })
-        })
-    };
-
-    let mut cells: Vec<Vec<CellResult>> = Vec::with_capacity(benches.len());
-    let mut flat = flat.into_iter();
-    for _ in 0..benches.len() {
-        cells.push(flat.by_ref().take(designs.len()).collect());
+    let mut engine = Engine::with_recorder(&cfg.sim, ops, translator.as_mut(), rec);
+    if let Some(warm) = warm {
+        engine.install_warm(warm);
     }
-    SweepResult {
-        designs: designs.to_vec(),
-        cells,
-        telemetry: SweepTelemetry {
-            threads,
-            cells: n_cells,
-            traces_built: cache.misses() - misses0,
-            trace_cache_hits: cache.hits() - hits0,
-            trace_build,
-            cell_exec,
-        },
-    }
-}
-
-/// A single-threaded reference sweep that bypasses the scheduler and the
-/// shared cache entirely: the ground truth the parallel executor must
-/// reproduce bit-for-bit.
-pub fn sweep_serial(designs: &[DesignSpec], cfg: &ExperimentConfig) -> SweepResult {
-    let cells: Vec<Vec<CellResult>> = Benchmark::ALL
-        .iter()
-        .map(|&bench| {
-            let trace = bench.build(&cfg.workload).trace();
-            designs
-                .iter()
-                .map(|&design| CellResult {
-                    bench,
-                    design,
-                    metrics: run_cell(&trace, design, cfg),
-                    windows: Vec::new(),
-                })
-                .collect()
-        })
-        .collect();
-    SweepResult {
-        designs: designs.to_vec(),
-        cells,
-        telemetry: SweepTelemetry {
-            threads: 1,
-            cells: Benchmark::ALL.len() * designs.len(),
-            traces_built: Benchmark::ALL.len() as u64,
-            ..SweepTelemetry::default()
-        },
-    }
-}
-
-/// Sweeps the full Table-2 design set.
-pub fn sweep_table2(cfg: &ExperimentConfig) -> SweepResult {
-    sweep(&DesignSpec::TABLE2, cfg)
+    engine.run()
 }
 
 // ---- fault-tolerant sweeps -----------------------------------------------
@@ -561,19 +329,23 @@ impl FtSweepResult {
         self.cells.iter().flatten().filter(|o| o.is_ok()).count()
     }
 
-    /// Converts to a plain [`SweepResult`] when *every* cell completed;
-    /// `None` if any cell failed.
-    pub fn into_complete(self) -> Option<SweepResult> {
-        let cells: Option<Vec<Vec<CellResult>>> = self
-            .cells
-            .into_iter()
-            .map(|row| row.into_iter().map(CellOutcome::into_ok).collect())
-            .collect();
-        Some(SweepResult {
-            designs: self.designs,
-            cells: cells?,
-            telemetry: self.telemetry,
-        })
+    /// `(cell, weight cell)` for every benchmark where both `design`'s
+    /// cell and the weight cell completed. The weight is T4's run time
+    /// (per the paper), or the first design's when T4 is not part of the
+    /// sweep. `None` when `design` is absent from the sweep.
+    fn completed_pairs(&self, design: DesignSpec) -> Option<Vec<(&CellResult, &CellResult)>> {
+        let weight_col = self
+            .designs
+            .iter()
+            .position(|d| *d == DesignSpec::MultiPorted { ports: 4 })
+            .unwrap_or(0);
+        let col = self.designs.iter().position(|d| *d == design)?;
+        Some(
+            self.cells
+                .iter()
+                .filter_map(|row| Some((row.get(col)?.ok()?, row.get(weight_col)?.ok()?)))
+                .collect(),
+        )
     }
 
     /// Partial run-time weighted IPC: averages over the benchmarks
@@ -581,28 +353,13 @@ impl FtSweepResult {
     /// completed. `None` when the design is absent from the sweep or no
     /// benchmark has both cells.
     pub fn weighted_ipc(&self, design: DesignSpec) -> Option<f64> {
-        let weight_col = self
-            .designs
-            .iter()
-            .position(|d| *d == DesignSpec::MultiPorted { ports: 4 })
-            .unwrap_or(0);
-        let col = self.designs.iter().position(|d| *d == design)?;
-        let mut ipcs = Vec::new();
-        let mut weights = Vec::new();
-        for row in &self.cells {
-            if let (Some(c), Some(w)) = (
-                row.get(col).and_then(CellOutcome::ok),
-                row.get(weight_col).and_then(CellOutcome::ok),
-            ) {
-                ipcs.push(c.metrics.ipc());
-                weights.push(w.metrics.cycles);
-            }
+        let pairs = self.completed_pairs(design)?;
+        if pairs.is_empty() {
+            return None;
         }
-        if ipcs.is_empty() {
-            None
-        } else {
-            Some(runtime_weighted_ipc(&ipcs, &weights))
-        }
+        let ipcs: Vec<f64> = pairs.iter().map(|(c, _)| c.metrics.ipc()).collect();
+        let weights: Vec<u64> = pairs.iter().map(|(_, w)| w.metrics.cycles).collect();
+        Some(runtime_weighted_ipc(&ipcs, &weights))
     }
 
     /// Partial relative IPC (normalised to T4 over the same benchmark
@@ -627,30 +384,19 @@ impl FtSweepResult {
     /// infinite half-width rather than quietly narrowing it.
     pub fn weighted_ipc_interval(&self, design: DesignSpec) -> Option<ConfidenceInterval> {
         self.sample?;
-        let weight_col = self
-            .designs
-            .iter()
-            .position(|d| *d == DesignSpec::MultiPorted { ports: 4 })
-            .unwrap_or(0);
-        let col = self.designs.iter().position(|d| *d == design)?;
         let mut w_sum = 0.0f64;
         let mut mean_sum = 0.0f64;
         let mut hw_sum = 0.0f64;
         let mut n_min = u64::MAX;
-        for row in &self.cells {
-            if let (Some(c), Some(w)) = (
-                row.get(col).and_then(CellOutcome::ok),
-                row.get(weight_col).and_then(CellOutcome::ok),
-            ) {
-                let ci = ipc_interval(&c.windows, ConfLevel::P95);
-                #[allow(clippy::cast_precision_loss)]
-                let weight = w.metrics.cycles as f64;
-                let weight = if weight > 0.0 { weight } else { 1.0 };
-                w_sum += weight;
-                mean_sum += weight * ci.mean;
-                hw_sum += weight * ci.half_width;
-                n_min = n_min.min(ci.n);
-            }
+        for (c, w) in self.completed_pairs(design)? {
+            let ci = ipc_interval(&c.windows, ConfLevel::P95);
+            #[allow(clippy::cast_precision_loss)]
+            let weight = w.metrics.cycles as f64;
+            let weight = if weight > 0.0 { weight } else { 1.0 };
+            w_sum += weight;
+            mean_sum += weight * ci.mean;
+            hw_sum += weight * ci.half_width;
+            n_min = n_min.min(ci.n);
         }
         if w_sum <= 0.0 {
             return None;
@@ -663,43 +409,36 @@ impl FtSweepResult {
         })
     }
 
+    /// Renders the figure as a text table plus the paper-style bar chart:
+    /// one row/bar per design, relative to T4. Failed cells are marked
+    /// explicitly: designs with no usable measurements show `n/a` bars,
+    /// and the failure manifest is appended below the chart.
+    pub fn render_figure(&self, title: &str) -> String {
+        self.figure(title, "weighted IPC", |d| fnum_opt(self.weighted_ipc(d), 4))
+    }
+
     /// Renders the sampled-sweep figure: the usual weighted-IPC table
-    /// extended with the `± 95% CI` column, and bars annotated with the
-    /// window count. Falls back to [`Self::render_figure`] when the
+    /// with the IPC column as a 95% confidence interval, under a line
+    /// naming the plan. Falls back to [`Self::render_figure`] when the
     /// sweep was not sampled.
     pub fn render_sample_figure(&self, title: &str) -> String {
-        if self.sample.is_none() {
+        let Some(plan) = self.sample else {
             return self.render_figure(title);
-        }
-        let mut t = TextTable::new(vec!["design", "weighted IPC (95% CI)", "vs T4"]);
-        t.numeric();
-        let mut chart = BarChart::new("relative IPC (normalised to T4)", 50)
-            .with_max(1.0)
-            .percent();
-        for d in &self.designs {
-            let ci = self.weighted_ipc_interval(*d);
-            t.row(vec![
-                d.mnemonic().to_owned(),
-                ci.as_ref()
-                    .map_or_else(|| "n/a".to_owned(), |ci| ci.render(4)),
-                percent_opt(self.relative_ipc(*d)),
-            ]);
-            match self.relative_ipc(*d) {
-                Some(rel) => chart.bar(d.mnemonic(), rel),
-                None => chart.bar_missing(d.mnemonic()),
-            };
-        }
-        let plan = self.sample.map_or_else(String::new, |p| p.render());
-        let mut out = format!(
-            "{title}\nsampled: {plan} (windows:len:warmup), relative IPC from window means\n{}\n{}",
-            t.render(),
-            chart.render()
+        };
+        let title = format!(
+            "{title}\nsampled: {} (windows:len:warmup), relative IPC from window means",
+            plan.render()
         );
-        if !self.manifest.is_empty() {
-            out.push('\n');
-            out.push_str(&self.manifest.render());
-        }
-        out
+        self.figure(&title, "weighted IPC (95% CI)", |d| {
+            self.weighted_ipc_interval(d)
+                .map_or_else(|| "n/a".to_owned(), |ci| ci.render(4))
+        })
+    }
+
+    /// Renders the per-benchmark detail (the paper's FTP results file),
+    /// with failed cells marked `n/a` instead of aborting the render.
+    pub fn render_details(&self) -> String {
+        self.details(|c| fnum(c.metrics.ipc(), 3))
     }
 
     /// Renders the per-benchmark detail table for a sampled sweep, one
@@ -709,40 +448,21 @@ impl FtSweepResult {
         if self.sample.is_none() {
             return self.render_details();
         }
-        let mut headers = vec!["program".to_owned()];
-        headers.extend(self.designs.iter().map(|d| d.mnemonic().to_owned()));
-        let mut t = TextTable::new(headers);
-        t.numeric();
-        for (bench, row) in Benchmark::ALL.iter().zip(&self.cells) {
-            let mut cells = vec![bench.name().to_owned()];
-            cells.extend(row.iter().map(|o| {
-                o.ok().map_or_else(
-                    || "n/a".to_owned(),
-                    |c| ipc_interval(&c.windows, ConfLevel::P95).render(3),
-                )
-            }));
-            t.row(cells);
-        }
-        t.render()
+        self.details(|c| ipc_interval(&c.windows, ConfLevel::P95).render(3))
     }
 
-    /// Renders the figure like [`SweepResult::render_figure`], but
-    /// failed cells are marked explicitly: designs with no usable
-    /// measurements show `n/a` bars, and the failure manifest is
-    /// appended below the chart.
-    pub fn render_figure(&self, title: &str) -> String {
-        let mut t = TextTable::new(vec!["design", "weighted IPC", "vs T4"]);
+    /// The figure layout shared by both renderers; `ipc` formats a
+    /// design's weighted-IPC column.
+    fn figure(&self, title: &str, ipc_header: &str, ipc: impl Fn(DesignSpec) -> String) -> String {
+        let mut t = TextTable::new(vec!["design", ipc_header, "vs T4"]);
         t.numeric();
         let mut chart = BarChart::new("relative IPC (normalised to T4)", 50)
             .with_max(1.0)
             .percent();
-        for d in &self.designs {
-            t.row(vec![
-                d.mnemonic().to_owned(),
-                fnum_opt(self.weighted_ipc(*d), 4),
-                percent_opt(self.relative_ipc(*d)),
-            ]);
-            match self.relative_ipc(*d) {
+        for &d in &self.designs {
+            let rel = self.relative_ipc(d);
+            t.row(vec![d.mnemonic().to_owned(), ipc(d), percent_opt(rel)]);
+            match rel {
                 Some(rel) => chart.bar(d.mnemonic(), rel),
                 None => chart.bar_missing(d.mnemonic()),
             };
@@ -755,9 +475,9 @@ impl FtSweepResult {
         out
     }
 
-    /// Renders the per-benchmark detail table with failed cells marked
-    /// `n/a` instead of aborting the render.
-    pub fn render_details(&self) -> String {
+    /// The per-benchmark table shared by both detail renderers: one row
+    /// per program, `cell` formatting each completed cell.
+    fn details(&self, cell: impl Fn(&CellResult) -> String) -> String {
         let mut headers = vec!["program".to_owned()];
         headers.extend(self.designs.iter().map(|d| d.mnemonic().to_owned()));
         let mut t = TextTable::new(headers);
@@ -766,7 +486,7 @@ impl FtSweepResult {
             let mut cells = vec![bench.name().to_owned()];
             cells.extend(
                 row.iter()
-                    .map(|o| fnum_opt(o.ok().map(|c| c.metrics.ipc()), 3)),
+                    .map(|o| o.ok().map_or_else(|| "n/a".to_owned(), &cell)),
             );
             t.row(cells);
         }
@@ -777,11 +497,22 @@ impl FtSweepResult {
 /// What phase 1 built for one benchmark: the full trace (normal sweeps)
 /// or a checkpointed warm trace (timing tail + warm state).
 enum BenchInput {
-    /// Full trace from program start; timing covers every instruction.
-    Full(BuiltTrace),
+    /// Full predecoded trace from program start; timing covers every
+    /// instruction.
+    Full(Arc<PredecodedTrace>),
     /// Fast-forwarded through the checkpoint layer; timing covers the
     /// tail past the boundary with warm state installed.
     Warm(Box<WarmTrace>),
+}
+
+impl BenchInput {
+    /// The micro-ops to time, and the warm trace they continue (if any).
+    fn timing(&self) -> (&[MicroOp], Option<&WarmTrace>) {
+        match self {
+            BenchInput::Full(uops) => (uops.ops(), None),
+            BenchInput::Warm(wt) => (wt.tail.ops(), Some(wt)),
+        }
+    }
 }
 
 /// What one phase-2 cell job produced (before outcome classification).
@@ -965,13 +696,11 @@ pub fn sweep_ft_on(
                     });
                     BenchInput::Warm(Box::new(wt))
                 }
-                None => BenchInput::Full(cache.get_or_build_uops(benches[bi], &cfg.workload)),
+                None => BenchInput::Full(cache.get_or_build_uops(benches[bi], &cfg.workload).1),
             }
         })
     });
     drop(phase_trace_build);
-    // The raw trace stays available for the corrupt-trace fault path,
-    // which serialises `TraceInst` records; cells run on the micro-ops.
     let mut traces: Vec<Option<BenchInput>> = Vec::with_capacity(benches.len());
     let mut trace_errs: Vec<String> = Vec::with_capacity(benches.len());
     for outcome in trace_outcomes {
@@ -1012,32 +741,13 @@ pub fn sweep_ft_on(
                 !ctx.cancelled(),
                 "injected fault: cell {i} stalled past its deadline"
             );
+            let (ops, wt) = input.timing();
             if opts.faults.fault_for(i) == Some(FaultKind::CorruptTrace) {
-                let decoded_tail;
-                let trace: &[TraceInst] = match input {
-                    BenchInput::Full((trace, _)) => trace,
-                    BenchInput::Warm(wt) => {
-                        decoded_tail = wt.tail.decode();
-                        &decoded_tail
-                    }
-                };
-                run_with_corrupt_trace(i, trace, &opts.faults);
+                let trace: Vec<TraceInst> = ops.iter().map(MicroOp::decode).collect();
+                run_with_corrupt_trace(i, &trace, &opts.faults);
             }
-            // One generic execution path per input form; the recorder
-            // combination (none / trace / interval / both via Tee) is
-            // picked here with static dispatch, so the unobserved arm
-            // stays the NullRecorder hot loop.
-            fn exec<R: hbat_obs::Recorder>(
-                input: &BenchInput,
-                design: DesignSpec,
-                cfg: &ExperimentConfig,
-                rec: R,
-            ) -> RunMetrics {
-                match input {
-                    BenchInput::Full((_, uops)) => run_cell_uops_with(uops, design, cfg, rec),
-                    BenchInput::Warm(wt) => run_warm_cell_with(wt, design, cfg, rec),
-                }
-            }
+            let warm = wt.map(|wt| &wt.warm);
+            let design = designs[di];
             // `windows` unifies the two interval sources: cycle-width
             // intervals from the recorder (which can drop on buffer
             // overflow) and sampled measurement windows (which never
@@ -1046,38 +756,25 @@ pub fn sweep_ft_on(
             let (metrics, rec, windows): (RunMetrics, Option<TraceRecorder>, Windows) = {
                 let _cell = prof::scope("cell-run");
                 if let Some(plan) = &opts.sample {
-                    let cell = match input {
-                        BenchInput::Full((_, uops)) => {
-                            run_sampled_uops(uops.ops(), designs[di], cfg, None, plan)
-                        }
-                        BenchInput::Warm(wt) => run_sampled_uops(
-                            wt.tail.ops(),
-                            designs[di],
-                            cfg,
-                            Some(&wt.export),
-                            plan,
-                        ),
-                    };
+                    let export = wt.map(|wt| &wt.export);
+                    let cell = run_sampled_uops(ops, design, cfg, export, plan);
                     (cell.metrics, None, Some((cell.windows, 0)))
                 } else {
+                    // The recorder combination (none / trace / interval /
+                    // both via Tee) is picked with static dispatch, so the
+                    // unobserved arm stays the NullRecorder hot loop.
                     match (opts.observe, opts.intervals) {
                         (false, None) => {
-                            let metrics = match input {
-                                BenchInput::Full((_, uops)) => {
-                                    run_cell_uops(uops, designs[di], cfg)
-                                }
-                                BenchInput::Warm(wt) => run_warm_cell(wt, designs[di], cfg),
-                            };
-                            (metrics, None, None)
+                            (run_cell(ops, warm, design, cfg, NullRecorder), None, None)
                         }
                         (true, None) => {
                             let mut rec = TraceRecorder::new();
-                            let metrics = exec(input, designs[di], cfg, &mut rec);
+                            let metrics = run_cell(ops, warm, design, cfg, &mut rec);
                             (metrics, Some(rec), None)
                         }
                         (false, Some(width)) => {
                             let mut iv = IntervalRecorder::new(width);
-                            let metrics = exec(input, designs[di], cfg, &mut iv);
+                            let metrics = run_cell(ops, warm, design, cfg, &mut iv);
                             iv.finish();
                             (
                                 metrics,
@@ -1088,7 +785,7 @@ pub fn sweep_ft_on(
                         (true, Some(width)) => {
                             let mut tee =
                                 Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                            let metrics = exec(input, designs[di], cfg, &mut tee);
+                            let metrics = run_cell(ops, warm, design, cfg, &mut tee);
                             tee.b.finish();
                             let wins = (tee.b.windows().to_vec(), tee.b.dropped_windows());
                             (metrics, Some(tee.a), Some(wins))
@@ -1238,10 +935,11 @@ mod tests {
             DesignSpec::MultiPorted { ports: 4 },
             DesignSpec::MultiPorted { ports: 1 },
         ];
-        let r = sweep(&designs, &cfg);
+        let r = sweep_ft(&designs, &cfg, &SweepOptions::default()).unwrap();
         assert_eq!(r.cells.len(), 10);
-        let rel_t4 = r.relative_ipc(designs[0]);
-        let rel_t1 = r.relative_ipc(designs[1]);
+        assert_eq!(r.completed(), 20);
+        let rel_t4 = r.relative_ipc(designs[0]).unwrap();
+        let rel_t1 = r.relative_ipc(designs[1]).unwrap();
         assert!((rel_t4 - 1.0).abs() < 1e-12, "T4 is its own baseline");
         assert!(rel_t1 < 1.0, "T1 must trail T4: {rel_t1}");
         assert!(rel_t1 > 0.3, "T1 cannot be catastrophically slow: {rel_t1}");

@@ -24,12 +24,12 @@
 //! identical plans give byte-identical journals and reports.
 
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{simulate_uops_warm_with_recorder, RunMetrics, WarmAccumulator, WarmExport};
+use hbat_cpu::{RunMetrics, WarmAccumulator, WarmExport};
 use hbat_isa::uop::MicroOp;
 use hbat_obs::{IntervalRecord, OccupancySample, Recorder, StallCause};
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 
-use crate::experiment::ExperimentConfig;
+use crate::experiment::{run_cell, ExperimentConfig};
 use crate::journal::fnv1a_hex;
 
 /// How a sampled run slices its trace: `n_windows` detailed windows of
@@ -397,15 +397,8 @@ pub fn run_sampled_uops(
         let detail_ops = ops.get(warm_start..detail_end).unwrap_or_default();
         acc.warm_gap(gap);
         let warm = acc.warm_state();
-        let mut translator = design.build(cfg.geometry, cfg.design_seed);
         let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
-        let _metrics = simulate_uops_warm_with_recorder(
-            &cfg.sim,
-            detail_ops,
-            translator.as_mut(),
-            &warm,
-            &mut gate,
-        );
+        run_cell(detail_ops, Some(&warm), design, cfg, &mut gate);
         let mut rec = gate.record();
         rec.start = w.meas_start;
         records.push(rec);
@@ -469,6 +462,7 @@ pub fn ipc_interval(windows: &[IntervalRecord], level: ConfLevel) -> ConfidenceI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbat_obs::NullRecorder;
     use hbat_workloads::Scale;
 
     fn plan(n: u64, len: u64, warm: u64) -> SamplePlan {
@@ -674,7 +668,7 @@ mod tests {
             );
         }
 
-        let full = crate::experiment::run_cell_uops(uops.ops(), design, &cfg);
+        let full = run_cell(uops.ops(), None, design, &cfg, NullRecorder);
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),
@@ -704,7 +698,7 @@ mod tests {
         let b = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &p);
         assert_eq!(a.windows, b.windows);
         assert!(!a.windows.is_empty());
-        let full = crate::ckpt::run_warm_cell(&wt, design, &cfg);
+        let full = run_cell(wt.tail.ops(), Some(&wt.warm), design, &cfg, NullRecorder);
         let ipc = ipc_interval(&a.windows, ConfLevel::P95);
         assert!(
             ipc.covers(full.ipc()),

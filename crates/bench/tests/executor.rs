@@ -1,45 +1,38 @@
 //! The parallel sweep executor is a pure optimisation: whatever the
-//! worker count, claim order, or trace sharing, the metrics must be
-//! bit-identical to the single-threaded reference sweep.
+//! worker count, claim order, or trace sharing, every cell's metrics
+//! must equal its frozen golden digest (see `golden.rs`).
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{assert_matches_golden, cell_rows, config, golden_cells};
 use hbat_bench::executor::TraceCache;
-use hbat_bench::experiment::{sweep_on, sweep_serial, ExperimentConfig, SweepResult};
+use hbat_bench::experiment::{sweep_ft_on, FtSweepResult, SweepOptions};
 use hbat_core::designs::spec::DesignSpec;
-use hbat_workloads::Scale;
 
-fn assert_identical(reference: &SweepResult, candidate: &SweepResult) {
-    assert_eq!(reference.cells.len(), candidate.cells.len());
-    for (ref_row, cand_row) in reference.cells.iter().zip(&candidate.cells) {
-        assert_eq!(ref_row.len(), cand_row.len());
-        for (r, c) in ref_row.iter().zip(cand_row) {
-            assert_eq!(r.bench, c.bench);
-            assert_eq!(r.design, c.design);
-            assert_eq!(
-                r.metrics,
-                c.metrics,
-                "{} on {} diverged between serial and parallel sweeps",
-                r.design.mnemonic(),
-                r.bench
-            );
-        }
-    }
+fn sweep_on(designs: &[DesignSpec], threads: usize, cache: &TraceCache) -> FtSweepResult {
+    let opts = SweepOptions {
+        threads,
+        ..SweepOptions::default()
+    };
+    let r = sweep_ft_on(designs, &config("ooo"), &opts, cache)
+        .expect("a sweep without a journal does no I/O");
+    assert!(r.manifest.is_empty(), "{}", r.manifest.render());
+    r
 }
 
 #[test]
-fn parallel_sweep_matches_serial_reference() {
-    let cfg = ExperimentConfig::baseline(Scale::Test);
+fn parallel_sweep_matches_golden_digests() {
     let designs = [
         DesignSpec::MultiPorted { ports: 4 },
         DesignSpec::MultiPorted { ports: 1 },
         DesignSpec::MultiLevel { l1_entries: 8 },
     ];
-    let reference = sweep_serial(&designs, &cfg);
     for threads in [1, 3, 8] {
-        let cache = TraceCache::new();
-        let parallel = sweep_on(&designs, &cfg, threads, &cache);
-        assert_identical(&reference, &parallel);
+        let parallel = sweep_on(&designs, threads, &TraceCache::new());
+        let checked = assert_matches_golden(&parallel, "ooo", "parallel");
+        assert_eq!(checked, 10 * designs.len());
         assert_eq!(parallel.telemetry.threads, threads);
         assert_eq!(parallel.telemetry.cells, 10 * designs.len());
     }
@@ -47,36 +40,32 @@ fn parallel_sweep_matches_serial_reference() {
 
 #[test]
 fn cached_traces_do_not_change_results() {
-    let cfg = ExperimentConfig::baseline(Scale::Test);
     let designs = [DesignSpec::MultiPorted { ports: 2 }];
     let cache = TraceCache::new();
-    let cold = sweep_on(&designs, &cfg, 2, &cache);
+    let cold = sweep_on(&designs, 2, &cache);
     assert_eq!(cold.telemetry.traces_built, 10, "cold cache builds all");
-    let warm = sweep_on(&designs, &cfg, 2, &cache);
+    let warm = sweep_on(&designs, 2, &cache);
     assert_eq!(warm.telemetry.traces_built, 0, "warm cache builds none");
     assert_eq!(warm.telemetry.trace_cache_hits, 10);
-    assert_identical(&cold, &warm);
+    assert_matches_golden(&cold, "ooo", "cold");
+    assert_matches_golden(&warm, "ooo", "warm");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any design pair at any worker count reproduces the reference.
+    /// Any design pair at any worker count reproduces the golden digests.
     #[test]
     fn scheduling_never_leaks_into_metrics(
         first in 0usize..DesignSpec::TABLE2.len(),
         second in 0usize..DesignSpec::TABLE2.len(),
         threads in 1usize..6,
     ) {
-        let cfg = ExperimentConfig::baseline(Scale::Test);
         let designs = [DesignSpec::TABLE2[first], DesignSpec::TABLE2[second]];
-        let reference = sweep_serial(&designs, &cfg);
-        let cache = TraceCache::new();
-        let parallel = sweep_on(&designs, &cfg, threads, &cache);
-        for (ref_row, cand_row) in reference.cells.iter().zip(&parallel.cells) {
-            for (r, c) in ref_row.iter().zip(cand_row) {
-                prop_assert_eq!(&r.metrics, &c.metrics);
-            }
+        let parallel = sweep_on(&designs, threads, &TraceCache::new());
+        let golden = golden_cells();
+        for (key, digest) in cell_rows(&parallel, "ooo") {
+            prop_assert_eq!(Some(&digest), golden.get(&key));
         }
     }
 }

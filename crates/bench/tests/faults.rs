@@ -5,13 +5,16 @@
 //! The headline acceptance criterion: inject panics into k cells of an
 //! n-cell sweep → the sweep completes the remaining n−k cells and
 //! reports exactly k manifest entries, and a `--resume` run re-executes
-//! only the failed cells, bit-identical to an unfaulted serial sweep.
+//! only the failed cells, bit-identical to the frozen golden digests.
+
+mod common;
 
 use std::path::PathBuf;
 use std::time::Duration;
 
+use common::assert_matches_golden;
 use hbat_bench::executor::RunPolicy;
-use hbat_bench::experiment::{sweep_ft_on, sweep_serial, ExperimentConfig, SweepOptions};
+use hbat_bench::experiment::{sweep_ft_on, ExperimentConfig, SweepOptions};
 use hbat_bench::faults::{FaultKind, FaultPlan};
 use hbat_bench::journal::read_journal;
 use hbat_bench::outcome::CellOutcome;
@@ -31,21 +34,6 @@ fn temp_journal(tag: &str) -> PathBuf {
     let path = dir.join(format!("{tag}.journal"));
     std::fs::remove_file(&path).ok();
     path
-}
-
-/// All completed cells of `r` match the serial reference bit-for-bit.
-fn assert_matches_serial(r: &hbat_bench::experiment::FtSweepResult, tag: &str) {
-    let reference = sweep_serial(designs(), &ExperimentConfig::baseline(Scale::Test));
-    for (bi, row) in r.cells.iter().enumerate() {
-        for (di, outcome) in row.iter().enumerate() {
-            if let Some(cell) = outcome.ok() {
-                assert_eq!(
-                    cell.metrics, reference.cells[bi][di].metrics,
-                    "{tag}: cell ({bi},{di}) diverged from the serial reference"
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -79,7 +67,7 @@ fn injected_panics_leave_partial_results_and_resume_is_bit_identical() {
         assert_eq!(f.kind, "panicked");
         assert!(f.detail.contains("injected fault"), "{}", f.detail);
     }
-    assert_matches_serial(&faulted, "faulted");
+    assert_matches_golden(&faulted, "ooo", "faulted");
     assert_eq!(
         read_journal(&journal).expect("parseable journal").len(),
         n - k,
@@ -103,19 +91,12 @@ fn injected_panics_leave_partial_results_and_resume_is_bit_identical() {
     assert!(resumed.manifest.is_empty(), "{}", resumed.manifest.render());
     assert_eq!(resumed.resumed, n - k, "restored cells are not re-executed");
     assert_eq!(resumed.completed(), n);
-    assert_matches_serial(&resumed, "resumed");
+    assert_eq!(assert_matches_golden(&resumed, "ooo", "resumed"), n);
     assert_eq!(
         read_journal(&journal).expect("parseable journal").len(),
         n,
         "the resume run journals the re-executed cells"
     );
-    let complete = resumed.into_complete().expect("all cells finished");
-    let reference = sweep_serial(designs(), &cfg);
-    for (r_row, s_row) in complete.cells.iter().zip(&reference.cells) {
-        for (r, s) in r_row.iter().zip(s_row) {
-            assert_eq!(r.metrics, s.metrics);
-        }
-    }
     std::fs::remove_file(&journal).ok();
 }
 
@@ -138,7 +119,7 @@ fn transient_panics_recover_through_retries() {
     )
     .expect("no journal I/O");
     assert!(r.manifest.is_empty(), "{}", r.manifest.render());
-    assert_matches_serial(&r, "retried");
+    assert_matches_golden(&r, "ooo", "retried");
 }
 
 #[test]
@@ -164,7 +145,7 @@ fn stall_fault_times_out_and_journal_stays_consistent() {
     assert_eq!(r.manifest.failures[0].kind, "timed_out");
     assert_eq!(r.manifest.failures[0].index, stalled);
     assert_eq!(r.completed(), n - 1);
-    assert_matches_serial(&r, "stalled");
+    assert_matches_golden(&r, "ooo", "stalled");
 
     // The journal is parseable and holds exactly the completed cells —
     // the timed-out cell never journalled a record.
@@ -186,7 +167,7 @@ fn stall_fault_times_out_and_journal_stays_consistent() {
     .expect("journal I/O");
     assert!(resumed.manifest.is_empty());
     assert_eq!(resumed.resumed, n - 1);
-    assert_matches_serial(&resumed, "stall-resumed");
+    assert_matches_golden(&resumed, "ooo", "stall-resumed");
     std::fs::remove_file(&journal).ok();
 }
 
@@ -212,7 +193,7 @@ fn corrupt_trace_fault_is_rejected_by_the_reader() {
         "the reader must reject the corrupt image, got: {}",
         f.detail
     );
-    assert_matches_serial(&r, "corrupt");
+    assert_matches_golden(&r, "ooo", "corrupt");
 }
 
 #[test]
@@ -245,7 +226,7 @@ fn trace_build_failure_skips_only_that_benchmarks_cells() {
             }
         }
     }
-    assert_matches_serial(&r, "trace-fault");
+    assert_matches_golden(&r, "ooo", "trace-fault");
 }
 
 #[test]

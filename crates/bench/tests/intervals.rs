@@ -15,11 +15,11 @@ use std::path::{Path, PathBuf};
 
 use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
-    iv_sidecar_path, run_cell_uops, run_cell_uops_with, sweep_ft_on, ExperimentConfig, SweepOptions,
+    iv_sidecar_path, run_cell, sweep_ft_on, ExperimentConfig, SweepOptions,
 };
 use hbat_bench::journal::parse_json_object;
 use hbat_core::designs::spec::DesignSpec;
-use hbat_obs::IntervalRecorder;
+use hbat_obs::{IntervalRecorder, NullRecorder};
 use hbat_workloads::{Benchmark, Scale};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -171,7 +171,7 @@ fn per_window_invariant_holds_for_every_workload_and_design() {
         let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
         for design in designs() {
             let mut iv = IntervalRecorder::new(512);
-            let m = run_cell_uops_with(uops.ops(), design, &cfg, &mut iv);
+            let m = run_cell(uops.ops(), None, design, &cfg, &mut iv);
             iv.finish();
             assert_windows_account_for(
                 &iv,
@@ -189,9 +189,9 @@ fn metrics_are_bit_identical_across_all_table2_designs() {
     let cache = TraceCache::new();
     let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
     for design in DesignSpec::TABLE2 {
-        let plain = run_cell_uops(uops.ops(), design, &cfg);
+        let plain = run_cell(uops.ops(), None, design, &cfg, NullRecorder);
         let mut iv = IntervalRecorder::new(777);
-        let observed = run_cell_uops_with(uops.ops(), design, &cfg, &mut iv);
+        let observed = run_cell(uops.ops(), None, design, &cfg, &mut iv);
         iv.finish();
         assert_eq!(
             plain,
@@ -212,7 +212,7 @@ fn short_runs_and_awkward_widths_produce_correct_partial_windows() {
 
     // A width wider than the whole run: exactly one partial window.
     let mut iv = IntervalRecorder::new(1 << 40);
-    let m = run_cell_uops_with(uops.ops(), design, &cfg, &mut iv);
+    let m = run_cell(uops.ops(), None, design, &cfg, &mut iv);
     iv.finish();
     assert_eq!(iv.windows().len(), 1, "run shorter than one window");
     assert_eq!(iv.windows()[0].cycles, m.cycles);
@@ -222,7 +222,7 @@ fn short_runs_and_awkward_widths_produce_correct_partial_windows() {
     // remainder, every interior window is full.
     let width = 777u64;
     let mut iv = IntervalRecorder::new(width);
-    let m2 = run_cell_uops_with(uops.ops(), design, &cfg, &mut iv);
+    let m2 = run_cell(uops.ops(), None, design, &cfg, &mut iv);
     iv.finish();
     assert_eq!(m2, m, "recorder width cannot affect the simulation");
     let windows = iv.windows();

@@ -18,11 +18,12 @@ use std::path::{Path, PathBuf};
 use hbat_bench::ckpt::CheckpointOptions;
 use hbat_bench::executor::TraceCache;
 use hbat_bench::experiment::{
-    iv_sidecar_path, run_cell_uops, sweep_ft_on, ExperimentConfig, SweepOptions,
+    iv_sidecar_path, run_cell, sweep_ft_on, ExperimentConfig, SweepOptions,
 };
 use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
 use hbat_bench::FtSweepResult;
 use hbat_core::designs::spec::DesignSpec;
+use hbat_obs::NullRecorder;
 use hbat_stats::ConfLevel;
 use hbat_workloads::{Benchmark, Scale};
 
@@ -183,7 +184,7 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
     for bench in Benchmark::ALL {
         let wt = hbat_bench::ckpt::build_warm_trace_cold(bench, &cfg, 2_000).unwrap();
         for design in designs() {
-            let truth = hbat_bench::ckpt::run_warm_cell(&wt, design, &cfg).ipc();
+            let truth = run_cell(wt.tail.ops(), Some(&wt.warm), design, &cfg, NullRecorder).ipc();
             let cell = run_sampled_uops(wt.tail.ops(), design, &cfg, Some(&wt.export), &p);
             let ci = ipc_interval(&cell.windows, ConfLevel::P95);
             assert!(
@@ -209,7 +210,7 @@ fn sampled_cis_cover_ground_truth_on_all_thirteen_table2_designs() {
     let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
     let p = plan();
     for design in DesignSpec::TABLE2 {
-        let truth = run_cell_uops(uops.ops(), design, &cfg).ipc();
+        let truth = run_cell(uops.ops(), None, design, &cfg, NullRecorder).ipc();
         let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
         let ci = ipc_interval(&cell.windows, ConfLevel::P95);
         assert!(

@@ -4,11 +4,12 @@ use proptest::prelude::*;
 
 use hbat_core::designs::spec::DesignSpec;
 use hbat_core::PageGeometry;
-use hbat_cpu::{simulate, SimConfig};
+use hbat_cpu::{simulate_uops, SimConfig};
 use hbat_isa::executor::Machine;
 use hbat_isa::inst::{AddrMode, AluOp, Cond, Inst, Operand, Width};
 use hbat_isa::program::Program;
 use hbat_isa::reg::Reg;
+use hbat_isa::uop::PredecodedTrace;
 
 /// Random programs with loops, branches, and memory traffic — valid by
 /// construction.
@@ -88,7 +89,7 @@ proptest! {
         in_order in any::<bool>(),
     ) {
         let program = Program::new(insts).expect("generated programs are valid");
-        let trace = Machine::new(program).run_to_vec(50_000);
+        let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(50_000));
         let cfg = if in_order {
             SimConfig::baseline_inorder()
         } else {
@@ -97,7 +98,7 @@ proptest! {
         let spec = DesignSpec::TABLE2[design_idx];
         let run = |seed| {
             let mut tlb = spec.build(PageGeometry::KB4, seed);
-            simulate(&cfg, &trace, tlb.as_mut())
+            simulate_uops(&cfg, &trace, tlb.as_mut())
         };
         let m = run(7);
         prop_assert_eq!(m.committed, trace.len() as u64);
@@ -114,11 +115,11 @@ proptest! {
     #[test]
     fn more_ports_never_hurt(insts in looping_program()) {
         let program = Program::new(insts).expect("valid");
-        let trace = Machine::new(program).run_to_vec(50_000);
+        let trace = PredecodedTrace::predecode(&Machine::new(program).run_to_vec(50_000));
         let cfg = SimConfig::baseline();
         let cycles = |ports| {
             let mut tlb = DesignSpec::MultiPorted { ports }.build(PageGeometry::KB4, 3);
-            simulate(&cfg, &trace, tlb.as_mut()).cycles
+            simulate_uops(&cfg, &trace, tlb.as_mut()).cycles
         };
         let (c1, c2, c4) = (cycles(1), cycles(2), cycles(4));
         // Walk serialisation (Table 1's "after earlier-issued instructions

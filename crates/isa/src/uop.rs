@@ -181,29 +181,17 @@ impl MicroOp {
                 reg_of(self.srcs[2]),
             ],
             dest: reg_of(self.dest),
-            dest_kind: if self.flags & Self::F_DEST_PTR != 0 {
-                WritebackKind::PointerArith
-            } else {
-                WritebackKind::Opaque
-            },
+            dest_kind: self.dest_kind(),
             aux_dest: reg_of(self.aux_dest),
-            mem: (self.flags & Self::F_MEM != 0).then(|| MemRef {
+            mem: self.is_mem().then(|| MemRef {
                 vaddr: VirtAddr(self.vaddr),
-                kind: if self.flags & Self::F_STORE != 0 {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                },
+                kind: self.mem_kind(),
                 width: self.width,
                 base_reg: Reg::from_code(self.base_reg),
                 index_reg: reg_of(self.index_reg),
                 offset: self.offset,
             }),
-            branch: (self.flags & Self::F_BRANCH != 0).then_some(BranchRec {
-                taken: self.flags & Self::F_BR_TAKEN != 0,
-                target: self.target,
-                conditional: self.flags & Self::F_BR_COND != 0,
-            }),
+            branch: self.branch(),
         }
     }
 

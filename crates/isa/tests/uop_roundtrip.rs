@@ -6,11 +6,13 @@
 //!   addressing mode, width, register file, and immediate extreme;
 //! * dynamically, executing a program that exercises every form and
 //!   predecoding the resulting trace (`PredecodedTrace`) → `decode`
-//!   reproduces the executor's `TraceInst` records byte-for-byte.
+//!   reproduces the executor's `TraceInst` records byte-for-byte — and
+//!   so does every benchmark workload's trace.
 
 use hbat_isa::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
 use hbat_isa::uop::{DecodedInst, MicroOp, PredecodedTrace};
 use hbat_isa::{Machine, Program, Reg};
+use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
 
 const ALU_OPS: [AluOp; 9] = [
     AluOp::Add,
@@ -317,4 +319,20 @@ fn predecoded_program_reencodes_the_whole_program() {
     let program = exercise_program();
     let predecoded = PredecodedProgram::from_program(&program);
     assert_eq!(predecoded.reencode(), program.instructions());
+}
+
+/// The predecoded form loses nothing on real workloads either: decoding
+/// it back yields the original dynamic trace record-for-record, for
+/// every benchmark.
+#[test]
+fn every_workload_predecodes_losslessly() {
+    let cfg = WorkloadConfig::new(Scale::Test);
+    for bench in Benchmark::ALL {
+        let trace = bench.build(&cfg).trace();
+        let uops = PredecodedTrace::predecode(&trace);
+        assert_eq!(uops.len(), trace.len());
+        for (i, t) in trace.iter().enumerate() {
+            assert_eq!(uops[i].decode(), *t, "{bench}: record {i} not lossless");
+        }
+    }
 }

@@ -21,7 +21,7 @@ fn main() {
         });
 
     let workload = bench.build(&WorkloadConfig::new(Scale::Small));
-    let trace = workload.trace();
+    let trace = PredecodedTrace::predecode(&workload.trace());
     println!(
         "{}: {} instructions, sweeping {} designs\n",
         bench,
@@ -37,7 +37,7 @@ fn main() {
     );
     for design in DesignSpec::TABLE2 {
         let mut tlb = design.build(PageGeometry::KB4, 1996);
-        let m = simulate(&cfg, &trace, tlb.as_mut());
+        let m = simulate_uops(&cfg, &trace, tlb.as_mut());
         let base = *t4_cycles.get_or_insert(m.cycles);
         println!(
             "{:<6} {:>10} {:>8.3} {:>8.1}% {:>9.1}% {:>9}",

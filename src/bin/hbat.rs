@@ -73,7 +73,7 @@ use std::time::Duration;
 use hbat_suite::analysis::{AdjacencyProfile, PointerProfile, ReuseProfile};
 use hbat_suite::bench::ckpt::CheckpointOptions;
 use hbat_suite::bench::executor::RunPolicy;
-use hbat_suite::bench::experiment::{sweep_ft, ExperimentConfig, SweepOptions};
+use hbat_suite::bench::experiment::{run_cell, sweep_ft, ExperimentConfig, SweepOptions};
 use hbat_suite::bench::faults::FaultPlan;
 use hbat_suite::bench::perfdb;
 use hbat_suite::bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
@@ -478,10 +478,13 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 let _p = prof::scope("trace-build");
                 bench.build(&cfg.workload).trace()
             };
-            let mut tlb = design.build(cfg.geometry, cfg.design_seed);
+            let uops = {
+                let _p = prof::scope("predecode");
+                PredecodedTrace::predecode(&trace)
+            };
             let m = {
                 let _p = prof::scope("detailed-run");
-                simulate(&cfg.sim, &trace, tlb.as_mut())
+                run_cell(&uops, None, design, &cfg, NullRecorder)
             };
             println!("{bench}: {} instructions\n", trace.len());
             print_metrics(design, &m);
@@ -495,6 +498,10 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 let _p = prof::scope("trace-build");
                 bench.build(&cfg.workload).trace()
             };
+            let uops = {
+                let _p = prof::scope("predecode");
+                PredecodedTrace::predecode(&trace)
+            };
             if let Some(plan) = opts.sample_plan()? {
                 if opts.intervals.is_some() {
                     return Err(
@@ -502,7 +509,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                             .to_owned(),
                     );
                 }
-                let uops = PredecodedTrace::predecode(&trace);
                 let phase = prof::scope("sampled-run");
                 let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &plan);
                 drop(phase);
@@ -539,7 +545,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 }
                 return Ok(());
             }
-            let mut tlb = design.build(cfg.geometry, cfg.design_seed);
             // With --intervals the run is recorded twice at once: the
             // event/stall recorder feeds the summary below, the interval
             // recorder the time series — one simulation, statically teed.
@@ -547,12 +552,12 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let (m, rec, iv) = match opts.intervals {
                 None => {
                     let mut rec = TraceRecorder::new();
-                    let m = simulate_with_recorder(&cfg.sim, &trace, tlb.as_mut(), &mut rec);
+                    let m = run_cell(&uops, None, design, &cfg, &mut rec);
                     (m, rec, None)
                 }
                 Some(width) => {
                     let mut tee = Tee::new(TraceRecorder::new(), IntervalRecorder::new(width));
-                    let m = simulate_with_recorder(&cfg.sim, &trace, tlb.as_mut(), &mut tee);
+                    let m = run_cell(&uops, None, design, &cfg, &mut tee);
                     tee.b.finish();
                     (m, tee.a, Some(tee.b))
                 }
@@ -647,13 +652,6 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             if opts.intervals.is_some() && opts.journal.is_none() {
                 return Err(
                     "--intervals needs --journal <path> (the sidecar lives next to it)".to_owned(),
-                );
-            }
-            if opts.sample.is_some() && (opts.observe || opts.intervals.is_some()) {
-                return Err(
-                    "--sample is mutually exclusive with --observe / --intervals \
-                     (sampled windows own the interval sidecar)"
-                        .to_owned(),
                 );
             }
             if opts.ckpt_dir.is_some() && opts.ff.is_none() {
@@ -827,8 +825,8 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 std::io::BufReader::new(std::fs::File::open(path).map_err(|e| e.to_string())?);
             let trace = tracefile::read_trace(&mut f).map_err(|e| e.to_string())?;
             let cfg = opts.experiment();
-            let mut tlb = design.build(cfg.geometry, cfg.design_seed);
-            let m = simulate(&cfg.sim, &trace, tlb.as_mut());
+            let uops = PredecodedTrace::predecode(&trace);
+            let m = run_cell(&uops, None, design, &cfg, NullRecorder);
             println!("{path}: {} instructions\n", trace.len());
             print_metrics(design, &m);
             Ok(())

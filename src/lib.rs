@@ -30,13 +30,40 @@
 //! ```
 //! use hbat_suite::prelude::*;
 //!
-//! // Build the paper's M8 design and one benchmark, then measure IPC.
+//! // Build the paper's M8 design and one benchmark, predecode its
+//! // dynamic trace once, then measure IPC.
 //! let workload = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Test));
-//! let trace = workload.trace();
+//! let uops = PredecodedTrace::predecode(&workload.trace());
 //! let mut tlb = DesignSpec::parse("M8")?.build(PageGeometry::KB4, 1996);
-//! let metrics = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+//! let metrics = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
 //! assert!(metrics.ipc() > 0.5);
 //! # Ok::<(), hbat_core::designs::spec::ParseDesignError>(())
+//! ```
+//!
+//! The experiment harness wraps that in the simulator's two entry
+//! points: [`run_cell`](hbat_bench::experiment::run_cell) times one
+//! (workload, design) cell under any recorder, and
+//! [`sweep_ft`](hbat_bench::experiment::sweep_ft) runs a design sweep
+//! over all ten programs on every core, cell by cell in isolation.
+//!
+//! ```
+//! use hbat_suite::prelude::*;
+//!
+//! let cfg = ExperimentConfig::baseline(Scale::Test);
+//! let uops = PredecodedTrace::predecode(&Benchmark::Compress.build(&cfg.workload).trace());
+//!
+//! // One cell, observed: the recorder attributes every cycle.
+//! let m8 = DesignSpec::parse("M8")?;
+//! let mut rec = TraceRecorder::new();
+//! let metrics = run_cell(&uops, None, m8, &cfg, &mut rec);
+//! assert_eq!(rec.cycles(), metrics.cycles);
+//!
+//! // A two-design sweep, unobserved, relative to T4.
+//! let designs = [DesignSpec::parse("T4")?, DesignSpec::parse("T1")?];
+//! let r = sweep_ft(&designs, &cfg, &SweepOptions::default())?;
+//! assert!(r.manifest.is_empty());
+//! assert!(r.relative_ipc(designs[1]).unwrap() < 1.0);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub use hbat_analysis as analysis;
@@ -53,13 +80,13 @@ pub use hbat_workloads as workloads;
 /// The names most users need, in one import.
 pub mod prelude {
     pub use hbat_analysis::{AdjacencyProfile, PointerProfile, ReuseProfile};
-    pub use hbat_bench::experiment::{sweep, sweep_table2, ExperimentConfig};
+    pub use hbat_bench::experiment::{run_cell, sweep_ft, ExperimentConfig, SweepOptions};
     pub use hbat_core::designs::spec::DesignSpec;
     pub use hbat_core::{
         AddressTranslator, Cycle, Outcome, PageGeometry, PageTable, TranslateRequest,
     };
-    pub use hbat_cpu::{simulate, simulate_with_recorder, IssueModel, RunMetrics, SimConfig};
-    pub use hbat_isa::{Machine, Program};
+    pub use hbat_cpu::{simulate_uops, IssueModel, RunMetrics, SimConfig};
+    pub use hbat_isa::{Machine, PredecodedTrace, Program};
     pub use hbat_obs::{NullRecorder, Recorder, StallCause, TraceRecorder};
     pub use hbat_workloads::{Benchmark, RegBudget, Scale, Workload, WorkloadConfig};
 }

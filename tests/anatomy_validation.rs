@@ -1,7 +1,19 @@
 //! Cross-validation: the trace-anatomy metrics (hbat-analysis) agree with
 //! the behaviour the timing stack (hbat-core + hbat-cpu) exhibits.
 
+use hbat_suite::isa::trace::TraceInst;
 use hbat_suite::prelude::*;
+
+/// `design`'s measured shield rate on `trace`, baseline machine.
+fn shield_rate(trace: &[TraceInst], design: &str) -> f64 {
+    let uops = PredecodedTrace::predecode(trace);
+    let mut tlb = DesignSpec::parse(design)
+        .unwrap()
+        .build(PageGeometry::KB4, 7);
+    simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut())
+        .tlb
+        .shield_rate()
+}
 
 #[test]
 fn poor_locality_trio_tops_the_reuse_profile() {
@@ -35,9 +47,7 @@ fn reuse_profile_predicts_the_multilevel_shield() {
         let trace = bench.build(&cfg).trace();
         let predicted_hit =
             1.0 - ReuseProfile::of_trace(&trace, PageGeometry::KB4).lru_miss_rate(8);
-        let mut tlb = DesignSpec::parse("M8").unwrap().build(PageGeometry::KB4, 7);
-        let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
-        let measured = m.tlb.shield_rate();
+        let measured = shield_rate(&trace, "M8");
         assert!(
             (predicted_hit - measured).abs() < 0.08,
             "{bench}: predicted {predicted_hit:.3} vs measured {measured:.3}"
@@ -61,15 +71,10 @@ fn adjacency_bounds_piggyback_combining() {
         let trace = bench.build(&cfg).trace();
         let profile = AdjacencyProfile::of_trace(&trace, PageGeometry::KB4, 4);
         let ceiling = profile.regrouped_combinable_fraction();
-        let mut tlb = DesignSpec::parse("PB1")
-            .unwrap()
-            .build(PageGeometry::KB4, 7);
-        let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+        let shielded = shield_rate(&trace, "PB1");
         assert!(
-            m.tlb.shield_rate() <= ceiling + 0.12,
-            "{bench}: PB1 shields {:.3} vs adjacency ceiling {:.3}",
-            m.tlb.shield_rate(),
-            ceiling
+            shielded <= ceiling + 0.12,
+            "{bench}: PB1 shields {shielded:.3} vs adjacency ceiling {ceiling:.3}"
         );
     }
 }
@@ -83,13 +88,10 @@ fn pointer_profile_bounds_pretranslation() {
     for bench in [Benchmark::Perl, Benchmark::Tomcatv, Benchmark::Gcc] {
         let trace = bench.build(&cfg).trace();
         let ceiling = PointerProfile::of_trace(&trace, PageGeometry::KB4).reuse_fraction();
-        let mut tlb = DesignSpec::parse("P8").unwrap().build(PageGeometry::KB4, 7);
-        let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+        let shielded = shield_rate(&trace, "P8");
         assert!(
-            m.tlb.shield_rate() <= ceiling + 0.10,
-            "{bench}: P8 shields {:.3} vs pointer ceiling {:.3}",
-            m.tlb.shield_rate(),
-            ceiling
+            shielded <= ceiling + 0.10,
+            "{bench}: P8 shields {shielded:.3} vs pointer ceiling {ceiling:.3}"
         );
     }
 }

@@ -2,7 +2,7 @@
 //! workload generation through the timing engine to the experiment
 //! aggregation, exercised at test scale.
 
-use hbat_suite::bench::experiment::{sweep, ExperimentConfig};
+use hbat_suite::bench::experiment::FtSweepResult;
 use hbat_suite::bench::missrate::{miss_rate_percent, FIG6_SIZES};
 use hbat_suite::prelude::*;
 
@@ -10,12 +10,19 @@ fn test_cfg() -> ExperimentConfig {
     ExperimentConfig::baseline(Scale::Test)
 }
 
+/// A complete sweep: every cell must finish.
+fn sweep(designs: &[DesignSpec], cfg: &ExperimentConfig) -> FtSweepResult {
+    let r = sweep_ft(designs, cfg, &SweepOptions::default()).expect("no journal, no I/O");
+    assert!(r.manifest.is_empty(), "{}", r.manifest.render());
+    r
+}
+
 #[test]
 fn facade_prelude_covers_the_basics() {
     let w = Benchmark::Doduc.build(&WorkloadConfig::new(Scale::Test));
-    let trace = w.trace();
+    let trace = PredecodedTrace::predecode(&w.trace());
     let mut tlb = DesignSpec::parse("T4").unwrap().build(PageGeometry::KB4, 1);
-    let m = simulate(&SimConfig::baseline(), &trace, tlb.as_mut());
+    let m = simulate_uops(&SimConfig::baseline(), &trace, tlb.as_mut());
     assert_eq!(m.committed, trace.len() as u64);
 }
 
@@ -23,7 +30,7 @@ fn facade_prelude_covers_the_basics() {
 fn figure5_shape_holds_at_test_scale() {
     // The headline qualitative claims of Figure 5, end to end.
     let r = sweep(&DesignSpec::TABLE2, &test_cfg());
-    let rel = |m: &str| r.relative_ipc(DesignSpec::parse(m).unwrap());
+    let rel = |m: &str| r.relative_ipc(DesignSpec::parse(m).unwrap()).unwrap();
 
     // T4 dominates the multi-ported family.
     assert!(rel("T2") <= 1.0 + 1e-9);
@@ -81,14 +88,14 @@ fn in_order_reduces_bandwidth_sensitivity() {
     let ino = sweep(&designs, &test_cfg().with_inorder());
     let t1 = DesignSpec::MultiPorted { ports: 1 };
     assert!(
-        ino.relative_ipc(t1) >= ooo.relative_ipc(t1) - 0.02,
+        ino.relative_ipc(t1).unwrap() >= ooo.relative_ipc(t1).unwrap() - 0.02,
         "in-order T1 {} should not be more penalised than out-of-order {}",
-        ino.relative_ipc(t1),
-        ooo.relative_ipc(t1)
+        ino.relative_ipc(t1).unwrap(),
+        ooo.relative_ipc(t1).unwrap()
     );
     // And absolute IPC is lower in order.
     let t4 = DesignSpec::MultiPorted { ports: 4 };
-    assert!(ino.weighted_ipc(t4) < ooo.weighted_ipc(t4));
+    assert!(ino.weighted_ipc(t4).unwrap() < ooo.weighted_ipc(t4).unwrap());
 }
 
 #[test]
@@ -113,16 +120,18 @@ fn miss_rates_fall_with_tlb_size_for_every_benchmark() {
 fn eight_kb_pages_help_the_shielding_designs() {
     // Figure 8's mechanism: larger pages raise L1-TLB and pretranslation
     // shield rates on a locality-poor workload.
-    let trace = Benchmark::Compress
-        .build(&WorkloadConfig::new(Scale::Test))
-        .trace();
+    let trace = PredecodedTrace::predecode(
+        &Benchmark::Compress
+            .build(&WorkloadConfig::new(Scale::Test))
+            .trace(),
+    );
     let cfg = SimConfig::baseline();
     for mnemonic in ["M8", "P8"] {
         let spec = DesignSpec::parse(mnemonic).unwrap();
         let mut t4k = spec.build(PageGeometry::KB4, 7);
         let mut t8k = spec.build(PageGeometry::KB8, 7);
-        let m4k = simulate(&cfg, &trace, t4k.as_mut());
-        let m8k = simulate(&cfg, &trace, t8k.as_mut());
+        let m4k = simulate_uops(&cfg, &trace, t4k.as_mut());
+        let m8k = simulate_uops(&cfg, &trace, t8k.as_mut());
         assert!(
             m8k.tlb.shield_rate() >= m4k.tlb.shield_rate() - 0.01,
             "{mnemonic}: 8k shield {} vs 4k {}",
@@ -151,15 +160,15 @@ fn fewer_registers_hurt_everything_but_multilevel_most_designs() {
     let t1 = DesignSpec::MultiPorted { ports: 1 };
     let m8 = DesignSpec::MultiLevel { l1_entries: 8 };
     assert!(
-        small.relative_ipc(t1) < full.relative_ipc(t1),
+        small.relative_ipc(t1).unwrap() < full.relative_ipc(t1).unwrap(),
         "spill traffic must deepen the T1 penalty: {} vs {}",
-        small.relative_ipc(t1),
-        full.relative_ipc(t1)
+        small.relative_ipc(t1).unwrap(),
+        full.relative_ipc(t1).unwrap()
     );
     assert!(
-        small.relative_ipc(m8) > 0.95,
+        small.relative_ipc(m8).unwrap() > 0.95,
         "the L1 TLB absorbs spill traffic: {}",
-        small.relative_ipc(m8)
+        small.relative_ipc(m8).unwrap()
     );
 }
 
@@ -169,8 +178,9 @@ fn sweep_is_deterministic() {
     let a = sweep(&designs, &test_cfg());
     let b = sweep(&designs, &test_cfg());
     for (ra, rb) in a.cells.iter().zip(&b.cells) {
-        assert_eq!(ra[0].metrics.cycles, rb[0].metrics.cycles);
-        assert_eq!(ra[0].metrics.tlb, rb[0].metrics.tlb);
+        let (ca, cb) = (ra[0].ok().unwrap(), rb[0].ok().unwrap());
+        assert_eq!(ca.metrics.cycles, cb.metrics.cycles);
+        assert_eq!(ca.metrics.tlb, cb.metrics.tlb);
     }
 }
 
@@ -179,13 +189,15 @@ fn shield_rates_reflect_design_structure() {
     // The framework quantities of Section 2 behave as the paper says:
     // f_shielded is high for multi-level and pretranslation, zero for
     // plain multi-ported TLBs.
-    let trace = Benchmark::Perl
-        .build(&WorkloadConfig::new(Scale::Test))
-        .trace();
+    let trace = PredecodedTrace::predecode(
+        &Benchmark::Perl
+            .build(&WorkloadConfig::new(Scale::Test))
+            .trace(),
+    );
     let cfg = SimConfig::baseline();
     let shield = |m: &str| {
         let mut tlb = DesignSpec::parse(m).unwrap().build(PageGeometry::KB4, 7);
-        simulate(&cfg, &trace, tlb.as_mut()).tlb.shield_rate()
+        simulate_uops(&cfg, &trace, tlb.as_mut()).tlb.shield_rate()
     };
     assert_eq!(shield("T4"), 0.0);
     assert!(shield("M16") >= shield("M8"));
