@@ -15,6 +15,7 @@ use std::path::Path;
 use hbat_bench::executor::{timed, JsonReport};
 use hbat_bench::experiment::{run_cell, scale_from_args, uops_for, ExperimentConfig};
 use hbat_bench::journal::fnv1a_hex;
+use hbat_bench::perfdb::read_report;
 use hbat_core::designs::spec::DesignSpec;
 use hbat_isa::uop::PredecodedTrace;
 use hbat_obs::{IntervalRecord, NullRecorder};
@@ -28,12 +29,8 @@ use hbat_workloads::{Benchmark, Scale};
 /// to the predecoded engine; the pre-rewrite figure is carried forward
 /// under `prepredecode_null_ms`.)
 fn frozen_baseline_ms() -> Option<f64> {
-    let s = std::fs::read_to_string("results/BENCH_obs.json").ok()?;
-    let key = "\"prepredecode_null_ms\":";
-    let rest = &s[s.find(key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
+    let report = read_report(Path::new("results/BENCH_obs.json")).ok()?;
+    report.get("prepredecode_null_ms")?.as_f64()
 }
 
 /// The golden out-of-order digest of `bench` on `design` at test scale.

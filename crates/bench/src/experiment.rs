@@ -23,8 +23,7 @@ use hbat_isa::trace::TraceInst;
 use hbat_isa::tracefile::{read_trace, write_trace};
 use hbat_isa::uop::{MicroOp, PredecodedTrace};
 use hbat_obs::{
-    prof, IntervalRecord, IntervalRecorder, NullRecorder, PortResource, Recorder, Tee,
-    TraceRecorder,
+    prof, IntervalRecord, IntervalRecorder, NullRecorder, Recorder, Tee, TraceRecorder,
 };
 use hbat_stats::agg::runtime_weighted_ipc;
 use hbat_stats::chart::BarChart;
@@ -44,6 +43,8 @@ use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
 use crate::sample::{
     ckpt_sample_fingerprint, ipc_interval, run_sampled_uops, sample_fingerprint, SamplePlan,
 };
+
+pub use crate::journal::{render_interval_record, render_obs_record};
 
 /// Everything one experiment (one figure) varies.
 #[derive(Debug, Clone)]
@@ -221,86 +222,6 @@ pub fn iv_sidecar_path(journal: &std::path::Path) -> PathBuf {
     let mut os = journal.as_os_str().to_owned();
     os.push(".iv.jsonl");
     PathBuf::from(os)
-}
-
-/// Renders one interval sidecar record: the cell's identity plus one
-/// window's counters, as a single JSON line (schema-versioned, like
-/// every JSONL stream in the repo).
-pub fn render_interval_record(key: &CellKey, window: &hbat_obs::IntervalRecord) -> String {
-    use crate::executor::escape_json;
-    format!(
-        "{{\"v\":{},\"bench\":{},\"design\":{},\"config\":{},\"seed\":{},\"window\":{{{}}}}}",
-        hbat_obs::INTERVAL_SCHEMA_VERSION,
-        escape_json(&key.bench),
-        escape_json(&key.design),
-        escape_json(&key.config),
-        key.seed,
-        window.render_fields(),
-    )
-}
-
-/// Renders one observability sidecar record: the cell's identity plus
-/// the recorder's summary counters (stall taxonomy, port conflicts,
-/// walks, occupancy histogram summaries) as a single JSON line.
-pub fn render_obs_record(key: &CellKey, rec: &TraceRecorder) -> String {
-    use crate::executor::escape_json;
-    let mut out = String::with_capacity(512);
-    out.push_str(&format!(
-        "{{\"v\":1,\"bench\":{},\"design\":{},\"config\":{},\"seed\":{},\"obs\":{{",
-        escape_json(&key.bench),
-        escape_json(&key.design),
-        escape_json(&key.config),
-        key.seed,
-    ));
-    out.push_str(&format!(
-        "\"cycles\":{},\"issue_cycles\":{},\"issued_ops\":{},\"stalls\":{{",
-        rec.cycles(),
-        rec.issue_cycles(),
-        rec.issued_ops(),
-    ));
-    for (i, (cause, n)) in rec.stall_breakdown().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{n}", escape_json(cause.name())));
-    }
-    out.push_str("},\"port_conflicts\":{");
-    for (i, res) in PortResource::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{}:{}",
-            escape_json(res.name()),
-            rec.port_conflicts(*res)
-        ));
-    }
-    out.push_str(&format!(
-        "}},\"walks\":{},\"walk_cycles\":{},\"occupancy\":{{",
-        rec.walks(),
-        rec.walk_cycles(),
-    ));
-    for (i, (name, h)) in [
-        ("rob", rec.rob_occupancy()),
-        ("lsq", rec.lsq_occupancy()),
-        ("mshrs", rec.mshr_occupancy()),
-        ("tlb_queue", rec.tlb_queue_occupancy()),
-    ]
-    .iter()
-    .enumerate()
-    {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{}:{{\"samples\":{},\"max\":{}}}",
-            escape_json(name),
-            h.total(),
-            h.max_seen()
-        ));
-    }
-    out.push_str("}}}");
-    out
 }
 
 /// The result of a fault-tolerant sweep: per-cell outcomes (partial

@@ -201,7 +201,7 @@ impl<'a> serde::Serializer for &'a mut JsonOut {
         self.serialize_str(&v.to_string())
     }
     fn serialize_str(self, v: &str) -> Result<(), Self::Error> {
-        self.out.push_str(&hbat_bench::executor::escape_json(v));
+        hbat_obs::record::escape_into(&mut self.out, v);
         Ok(())
     }
     fn serialize_bytes(self, _v: &[u8]) -> Result<(), Self::Error> {
@@ -395,7 +395,7 @@ impl serde::ser::SerializeStruct for JsonBlock<'_> {
         value: &T,
     ) -> Result<(), Self::Error> {
         self.sep();
-        self.j.out.push_str(&hbat_bench::executor::escape_json(key));
+        hbat_obs::record::escape_into(&mut self.j.out, key);
         self.j.out.push(':');
         value.serialize(&mut *self.j)
     }

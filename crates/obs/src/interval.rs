@@ -19,6 +19,7 @@
 //!
 //! [`TraceRecorder`]: crate::TraceRecorder
 
+use crate::record::{write_object, Visit};
 use crate::recorder::{OccupancySample, Recorder, StallCause};
 
 /// Schema version stamped as the first key (`"v"`) of every interval
@@ -117,56 +118,69 @@ impl IntervalRecord {
         self.stalls.iter().sum()
     }
 
-    /// The window's fields as JSON object members (no braces, no
-    /// version key), for embedding in a larger record — the sweep
-    /// interval sidecar nests these under its own identity keys.
-    pub fn render_fields(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "\"start\":{},\"cycles\":{},\"issue\":{},\"issued\":{},\"committed\":{}",
-            self.start, self.cycles, self.issue_cycles, self.issued, self.committed
-        );
-        s.push_str(",\"stalls\":{");
-        for (i, cause) in StallCause::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+    /// The record's wire table (see [`crate::record`]): renders `r`
+    /// under a [`Writer`](crate::record::Writer) and returns the parsed
+    /// window under a [`Reader`](crate::record::Reader).
+    pub fn fields<V: Visit>(v: &mut V, r: &IntervalRecord) -> IntervalRecord {
+        let start = v.u64("start", r.start);
+        let cycles = v.u64("cycles", r.cycles);
+        let issue_cycles = v.u64("issue", r.issue_cycles);
+        let issued = v.u64("issued", r.issued);
+        let committed = v.u64("committed", r.committed);
+        let stalls = v.obj("stalls", |v| {
             // hbat-lint: allow(panic) index() < COUNT by construction; the array is [_; COUNT]
-            let _ = write!(s, "\"{}\":{}", cause.name(), self.stalls[cause.index()]);
+            StallCause::ALL.map(|c| v.u64(c.name(), r.stalls[c.index()]))
+        });
+        let (tlb_lookups, tlb_misses) = v.obj("tlb", |v| {
+            (
+                v.u64("lookups", r.tlb_lookups),
+                v.u64("misses", r.tlb_misses),
+            )
+        });
+        let (dcache_accesses, dcache_misses) = v.obj("dcache", |v| {
+            let accesses = v.u64("accesses", r.dcache_accesses);
+            (accesses, v.u64("misses", r.dcache_misses))
+        });
+        let (walks, walk_cycles) = v.obj("walks", |v| {
+            (v.u64("count", r.walks), v.u64("cycles", r.walk_cycles))
+        });
+        let (rob_sum, lsq_sum, samples) = v.obj("occupancy", |v| {
+            let rob_sum = v.u64("rob_sum", r.rob_sum);
+            let lsq_sum = v.u64("lsq_sum", r.lsq_sum);
+            (rob_sum, lsq_sum, v.u64("samples", r.samples))
+        });
+        IntervalRecord {
+            start,
+            cycles,
+            issue_cycles,
+            issued,
+            committed,
+            stalls,
+            tlb_lookups,
+            tlb_misses,
+            dcache_accesses,
+            dcache_misses,
+            walks,
+            walk_cycles,
+            rob_sum,
+            lsq_sum,
+            samples,
         }
-        let _ = write!(
-            s,
-            "}},\"tlb\":{{\"lookups\":{},\"misses\":{}}}",
-            self.tlb_lookups, self.tlb_misses
-        );
-        let _ = write!(
-            s,
-            ",\"dcache\":{{\"accesses\":{},\"misses\":{}}}",
-            self.dcache_accesses, self.dcache_misses
-        );
-        let _ = write!(
-            s,
-            ",\"walks\":{{\"count\":{},\"cycles\":{}}}",
-            self.walks, self.walk_cycles
-        );
-        let _ = write!(
-            s,
-            ",\"occupancy\":{{\"rob_sum\":{},\"lsq_sum\":{},\"samples\":{}}}",
-            self.rob_sum, self.lsq_sum, self.samples
-        );
-        s
     }
+}
 
-    /// One JSON object on one line, `"v"` first.
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"v\":{},{}}}",
-            INTERVAL_SCHEMA_VERSION,
-            self.render_fields()
-        )
+/// Renders windows as JSON Lines: one object per window, `"v"` first,
+/// each line `\n`-terminated.
+pub fn render_jsonl(windows: &[IntervalRecord]) -> String {
+    let mut out = String::with_capacity(windows.len() * 320);
+    for w in windows {
+        write_object(&mut out, |v| {
+            v.u64("v", u64::from(INTERVAL_SCHEMA_VERSION));
+            IntervalRecord::fields(v, w)
+        });
+        out.push('\n');
     }
+    out
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -329,12 +343,7 @@ impl IntervalRecorder {
 
     /// Every completed window as versioned JSONL, one object per line.
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        for w in &self.windows {
-            out.push_str(&w.render_json());
-            out.push('\n');
-        }
-        out
+        render_jsonl(&self.windows)
     }
 }
 

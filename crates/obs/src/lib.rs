@@ -20,7 +20,10 @@
 //!   [`Tee`] to run it alongside a [`TraceRecorder`];
 //! * a scoped wall-clock self-profiler ([`prof`]) for the simulator's
 //!   own phases (trace build, predecode, warm restore, detailed run),
-//!   `HBAT_PROF`-gated and off by default.
+//!   `HBAT_PROF`-gated and off by default;
+//! * the repo's one JSON dialect ([`record`]): the escaper, the number
+//!   policy, the object writer, the strict parser and the torn-tail
+//!   JSONL reader every record stream shares.
 //!
 //! The determinism contract: enabling a recorder never changes the
 //! simulation. Probes only *read* engine state; `RunMetrics` and sweep
@@ -35,6 +38,7 @@
 pub mod histogram;
 pub mod interval;
 pub mod prof;
+pub mod record;
 pub mod recorder;
 pub mod trace;
 

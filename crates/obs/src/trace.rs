@@ -2,6 +2,7 @@
 //! port-conflict counts, and a bounded cycle-stamped event stream.
 
 use crate::histogram::Histogram;
+use crate::record::{write_object, Visit, Writer};
 use crate::recorder::{OccupancySample, PortResource, Recorder, StallCause};
 
 /// Schema version stamped as the first key (`"v"`) of every rendered
@@ -55,37 +56,35 @@ impl Event {
     /// `out`. Keys are stable; the schema version (`"v"`) is always
     /// first, then the cycle.
     pub fn render_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{{\"v\":{EVENT_SCHEMA_VERSION},");
-        match *self {
-            Event::Stall { now, cause } => {
-                let _ = write!(
-                    out,
-                    "\"cycle\":{now},\"event\":\"stall\",\"cause\":\"{}\"}}",
-                    cause.name()
-                );
+        write_object(out, |v| {
+            v.u64("v", u64::from(EVENT_SCHEMA_VERSION));
+            match *self {
+                Event::Stall { now, cause } => {
+                    v.u64("cycle", now);
+                    v.str("event", "stall");
+                    v.str("cause", cause.name());
+                }
+                Event::PortConflict { now, resource } => {
+                    v.u64("cycle", now);
+                    v.str("event", "port-conflict");
+                    v.str("resource", resource.name());
+                }
+                Event::Walk { now, vpn, latency } => {
+                    v.u64("cycle", now);
+                    v.str("event", "walk");
+                    v.u64("vpn", vpn);
+                    v.u64("latency", latency);
+                }
+                Event::Sample { now, occupancy } => {
+                    v.u64("cycle", now);
+                    v.str("event", "sample");
+                    v.u64("rob", u64::from(occupancy.rob));
+                    v.u64("lsq", u64::from(occupancy.lsq));
+                    v.u64("mshrs", u64::from(occupancy.mshrs));
+                    v.u64("tlb_queue", u64::from(occupancy.tlb_queue));
+                }
             }
-            Event::PortConflict { now, resource } => {
-                let _ = write!(
-                    out,
-                    "\"cycle\":{now},\"event\":\"port-conflict\",\"resource\":\"{}\"}}",
-                    resource.name()
-                );
-            }
-            Event::Walk { now, vpn, latency } => {
-                let _ = write!(
-                    out,
-                    "\"cycle\":{now},\"event\":\"walk\",\"vpn\":{vpn},\"latency\":{latency}}}"
-                );
-            }
-            Event::Sample { now, occupancy } => {
-                let _ = write!(
-                    out,
-                    "\"cycle\":{now},\"event\":\"sample\",\"rob\":{},\"lsq\":{},\"mshrs\":{},\"tlb_queue\":{}}}",
-                    occupancy.rob, occupancy.lsq, occupancy.mshrs, occupancy.tlb_queue
-                );
-            }
-        }
+        });
     }
 }
 
@@ -274,6 +273,41 @@ impl TraceRecorder {
     /// Events that arrived after the buffer filled.
     pub fn dropped_events(&self) -> u64 {
         self.dropped
+    }
+
+    /// Writes the run's summary counters as object members: cycles, the
+    /// stall taxonomy, port conflicts, walks, and each occupancy
+    /// histogram's sample count and maximum. This is the `"obs"` object
+    /// of a sweep's `.obs.jsonl` sidecar.
+    pub fn write_summary(&self, w: &mut Writer) {
+        w.u64("cycles", self.cycles());
+        w.u64("issue_cycles", self.issue_cycles);
+        w.u64("issued_ops", self.issued_ops);
+        w.obj("stalls", |w| {
+            for (cause, n) in self.stall_breakdown() {
+                w.u64(cause.name(), n);
+            }
+        });
+        w.obj("port_conflicts", |w| {
+            for res in PortResource::ALL {
+                w.u64(res.name(), self.port_conflicts(res));
+            }
+        });
+        w.u64("walks", self.walks);
+        w.u64("walk_cycles", self.walk_cycles);
+        w.obj("occupancy", |w| {
+            for (name, h) in [
+                ("rob", &self.rob),
+                ("lsq", &self.lsq),
+                ("mshrs", &self.mshrs),
+                ("tlb_queue", &self.tlb_queue),
+            ] {
+                w.obj(name, |w| {
+                    w.u64("samples", h.total());
+                    w.u64("max", u64::from(h.max_seen()));
+                });
+            }
+        });
     }
 
     /// Render the captured events as JSON Lines: one object per event,

@@ -80,7 +80,8 @@ use hbat_suite::bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
 use hbat_suite::ckpt::Snapshot;
 use hbat_suite::isa::tracefile;
 use hbat_suite::isa::PredecodedTrace;
-use hbat_suite::obs::{prof, IntervalRecorder, PortResource, Tee};
+use hbat_suite::obs::record::{write_object, Scalar, Visit};
+use hbat_suite::obs::{interval, prof, IntervalRecorder, PortResource, Tee};
 use hbat_suite::prelude::*;
 use hbat_suite::stats::chart::BarChart;
 use hbat_suite::stats::table::TextTable;
@@ -531,12 +532,8 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     uops.ops().len()
                 );
                 if let Some(path) = &opts.out {
-                    let mut out = String::new();
-                    for w in &cell.windows {
-                        out.push_str(&w.render_json());
-                        out.push('\n');
-                    }
-                    std::fs::write(path, out).map_err(|e| e.to_string())?;
+                    std::fs::write(path, interval::render_jsonl(&cell.windows))
+                        .map_err(|e| e.to_string())?;
                     println!(
                         "wrote {} sampled windows to {}",
                         cell.windows.len(),
@@ -775,25 +772,24 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let stored =
                 u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8-byte trailer"));
             if opts.json {
-                println!(
-                    "{{\"v\":{},\"bench\":\"{}\",\"fingerprint\":\"{}\",\"index\":{},\
-                     \"bytes\":{},\"checksum\":\"{stored:016x}\",\"mem_chunks\":{},\
-                     \"mem_bytes\":{mem_bytes},\"warm_pages\":{},\"warm_tlb\":{},\
-                     \"warm_dblocks\":{},\"warm_iblocks\":{},\"bpred_pht\":{},\
-                     \"halted\":{}}}",
-                    hbat_suite::ckpt::CKPT_VERSION,
-                    snap.bench,
-                    snap.fingerprint,
-                    snap.index,
-                    bytes.len(),
-                    snap.mem_chunks.len(),
-                    snap.warm.pages.len(),
-                    snap.warm.tlb.len(),
-                    snap.warm.dblocks.len(),
-                    snap.warm.iblocks.len(),
-                    snap.warm.pht.len(),
-                    snap.arch.halted,
-                );
+                let mut line = String::new();
+                write_object(&mut line, |w| {
+                    w.u64("v", u64::from(hbat_suite::ckpt::CKPT_VERSION));
+                    w.str("bench", &snap.bench);
+                    w.str("fingerprint", &snap.fingerprint);
+                    w.u64("index", snap.index);
+                    w.u64("bytes", bytes.len() as u64);
+                    w.str("checksum", &format!("{stored:016x}"));
+                    w.u64("mem_chunks", snap.mem_chunks.len() as u64);
+                    w.u64("mem_bytes", mem_bytes as u64);
+                    w.u64("warm_pages", snap.warm.pages.len() as u64);
+                    w.u64("warm_tlb", snap.warm.tlb.len() as u64);
+                    w.u64("warm_dblocks", snap.warm.dblocks.len() as u64);
+                    w.u64("warm_iblocks", snap.warm.iblocks.len() as u64);
+                    w.u64("bpred_pht", snap.warm.pht.len() as u64);
+                    w.scalar("halted", &Scalar::Bool(snap.arch.halted));
+                });
+                println!("{line}");
             } else {
                 println!("snapshot          : {path}");
                 println!("version           : {}", hbat_suite::ckpt::CKPT_VERSION);

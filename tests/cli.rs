@@ -427,6 +427,46 @@ fn observed_sweep_writes_sidecar_and_heartbeat_is_controllable() {
 }
 
 #[test]
+fn ckpt_json_escapes_snapshot_strings() {
+    use hbat_suite::bench::journal::parse_json_object;
+    use hbat_suite::ckpt::Snapshot;
+    use hbat_suite::cpu::WarmExport;
+    use hbat_suite::isa::executor::ArchState;
+
+    // The decoder accepts any UTF-8 identity string, so `--json` must
+    // escape what a snapshot file carries.
+    let snap = Snapshot {
+        bench: "Comp\"ress\nname\\".to_owned(),
+        fingerprint: "fp\t\u{1}".to_owned(),
+        index: 7,
+        arch: ArchState {
+            iregs: [0; 32],
+            freg_bits: [0; 32],
+            pc: 0,
+            serial: 7,
+            halted: true,
+        },
+        mem_chunks: Vec::new(),
+        warm: WarmExport::default(),
+    };
+    let dir = std::env::temp_dir().join(format!("hbat-cli-ckpt-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("odd.ckpt");
+    std::fs::write(&path, snap.encode()).unwrap();
+
+    let (ok, stdout, stderr) = hbat(&["ckpt", path.to_str().unwrap(), "--json"]);
+    assert!(ok, "{stderr}");
+    let keys = parse_json_object(stdout.trim())
+        .unwrap_or_else(|e| panic!("ckpt --json is not strict JSON ({e}): {stdout}"));
+    assert!(keys.contains(&"bench".to_owned()), "{stdout}");
+    assert!(
+        stdout.contains(r#""bench":"Comp\"ress\nname\\""#),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn checkpointed_sweep_snapshots_inspect_and_recover() {
     use hbat_suite::bench::journal::parse_json_object;
 
