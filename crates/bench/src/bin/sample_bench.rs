@@ -1,21 +1,24 @@
 //! Measures SMARTS-style sampled simulation against the full detailed
-//! run on the reference cell (Compress × M8), verifies the sampled
-//! estimate lands within tolerance of the full-run IPC, checks
-//! determinism, and records the measurement in
-//! `results/BENCH_sample.json`.
+//! run on the reference cell (Compress × M8) and on the reference
+//! program's 13-design Table-2 sweep, verifies the sampled estimate
+//! lands within tolerance of the full-run IPC, checks determinism, and
+//! records the measurement in `results/BENCH_sample.json`.
 //!
 //! Run: `cargo run --release -p hbat-bench --bin sample_bench [scale]`
 //!
 //! The perf gate (`hbat perfdb check`) bounds the noise-robust ratio
 //! metrics of this report: `speedup` (full wall-clock over sampled
-//! wall-clock — dominated by the detailed-work fraction, not the host),
-//! `rel_ipc_error`, and the `deterministic` verdict.
+//! wall-clock for one cell — dominated by the detailed-work fraction,
+//! not the host), `sweep_speedup` (the same over all 13 designs, where
+//! the sampled side builds one warm schedule and runs it per design, as
+//! a sampled sweep does), `rel_ipc_error`, and the `deterministic`
+//! verdict.
 
 use std::path::Path;
 
 use hbat_bench::executor::{timed, JsonReport};
 use hbat_bench::experiment::{run_cell, scale_from_args, ExperimentConfig};
-use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan};
+use hbat_bench::sample::{ipc_interval, run_sampled_uops, SamplePlan, WarmSchedule};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_isa::uop::PredecodedTrace;
 use hbat_obs::NullRecorder;
@@ -53,6 +56,34 @@ fn main() {
     let sampled_ms = sampled_s * 1e3 / f64::from(reps);
     let speedup = full_ms / sampled_ms.max(1e-9);
 
+    // The sweep number: the same program over all 13 Table-2 designs.
+    // The sampled side warms once and shares the schedule across the
+    // designs, so it must equal 13 standalone sampled cells.
+    let designs = DesignSpec::TABLE2;
+    let sampled_sweep = || {
+        let schedule = WarmSchedule::build(uops.ops(), &cfg, None, &plan);
+        designs.map(|d| schedule.run(d))
+    };
+    for (d, shared) in designs.iter().zip(sampled_sweep()) {
+        let alone = run_sampled_uops(uops.ops(), *d, &cfg, None, &plan);
+        assert!(
+            shared.windows == alone.windows && shared.metrics == alone.metrics,
+            "{}: shared-schedule cell differs from its standalone run",
+            d.mnemonic()
+        );
+    }
+    let mut sweep_full_s = 0.0f64;
+    let mut sweep_s = 0.0f64;
+    for _ in 0..reps {
+        let (_, d) = timed(|| designs.map(|d| run_cell(uops.ops(), None, d, &cfg, NullRecorder)));
+        sweep_full_s += d.as_secs_f64();
+        let (_, d) = timed(sampled_sweep);
+        sweep_s += d.as_secs_f64();
+    }
+    let sweep_full_ms = sweep_full_s * 1e3 / f64::from(reps);
+    let sweep_ms = sweep_s * 1e3 / f64::from(reps);
+    let sweep_speedup = sweep_full_ms / sweep_ms.max(1e-9);
+
     let full_ipc = full_warm.ipc();
     let ci = ipc_interval(&sampled_warm.windows, ConfLevel::P95);
     let rel_ipc_error = (ci.mean - full_ipc).abs() / full_ipc.max(1e-9);
@@ -71,6 +102,11 @@ fn main() {
          sampled {sampled_ms:.1} ms ({speedup:.2}x), plan {}",
         design.mnemonic(),
         plan.render()
+    );
+    println!(
+        "  {} designs: full {sweep_full_ms:.1} ms, sampled with one warm schedule \
+         {sweep_ms:.1} ms ({sweep_speedup:.2}x)",
+        designs.len()
     );
     println!(
         "  IPC: full {full_ipc:.4}, sampled {} ({:.2}% error, CI {}cover), \
@@ -96,6 +132,9 @@ fn main() {
         .num("full_ms", full_ms)
         .num("sampled_ms", sampled_ms)
         .num("speedup", speedup)
+        .num("sweep_full_ms", sweep_full_ms)
+        .num("sweep_ms", sweep_ms)
+        .num("sweep_speedup", sweep_speedup)
         .num("full_ipc", full_ipc)
         .num("sampled_ipc", ci.mean)
         .num("sampled_ci_half_width", ci.half_width)

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hbat_core::addr::PageGeometry;
 use hbat_core::designs::spec::DesignSpec;
@@ -41,7 +41,7 @@ use crate::journal::{
 };
 use crate::outcome::{CellFailure, CellOutcome, FailureManifest};
 use crate::sample::{
-    ckpt_sample_fingerprint, ipc_interval, run_sampled_uops, sample_fingerprint, SamplePlan,
+    ckpt_sample_fingerprint, ipc_interval, sample_fingerprint, SamplePlan, WarmSchedule,
 };
 
 pub use crate::journal::{render_interval_record, render_obs_record};
@@ -634,7 +634,11 @@ pub fn sweep_ft_on(
 
     // Phase 2: one queue of benchmark × design cells. Restored cells
     // return without executing (and without re-journalling); fresh
-    // completions journal themselves before returning.
+    // completions journal themselves before returning. A sampled
+    // benchmark's warm schedule is design-independent, so its first
+    // running cell builds it and the rest share it; a benchmark whose
+    // cells all restore never builds one.
+    let schedules: Vec<OnceLock<WarmSchedule>> = benches.iter().map(|_| OnceLock::new()).collect();
     let phase_detailed = prof::scope("detailed-run");
     // hbat-lint: allow(panic) bi/di derive from i < n_cells, and a panic inside a cell job is exactly what the isolation layer catches
     let (flat, cell_exec) = timed(|| {
@@ -678,7 +682,9 @@ pub fn sweep_ft_on(
                 let _cell = prof::scope("cell-run");
                 if let Some(plan) = &opts.sample {
                     let export = wt.map(|wt| &wt.export);
-                    let cell = run_sampled_uops(ops, design, cfg, export, plan);
+                    let cell = schedules[bi]
+                        .get_or_init(|| WarmSchedule::build(ops, cfg, export, plan))
+                        .run(design);
                     (cell.metrics, None, Some((cell.windows, 0)))
                 } else {
                     // The recorder combination (none / trace / interval /

@@ -21,8 +21,9 @@
 //!
 //! Sweeps ([`sweep_ft`]) run on the cell-level parallel executor in
 //! [`executor`] (worker count from `HBAT_THREADS`, default all cores);
-//! every cell goes through the one detailed runner [`run_cell`] (or
-//! [`run_sampled_uops`] for sampled sweeps), and results are
+//! every cell goes through the one detailed runner [`run_cell`] (sampled
+//! sweeps call it per window, through one [`WarmSchedule`] per
+//! benchmark shared by its designs), and results are
 //! bit-identical across worker counts — the `golden` suite pins every
 //! Table-2 cell against frozen digests.
 //!
@@ -66,5 +67,5 @@ pub use journal::{
 pub use outcome::{CellFailure, CellOutcome, FailureManifest};
 pub use sample::{
     ckpt_sample_fingerprint, cpi_interval, ipc_interval, plan_windows, run_sampled_uops,
-    sample_fingerprint, SamplePlan, SampleWindow, SampledCell, WindowGate,
+    sample_fingerprint, SamplePlan, SampleWindow, SampledCell, WarmSchedule, WindowGate,
 };

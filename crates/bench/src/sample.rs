@@ -13,6 +13,15 @@
 //! counters gated off), then measures exactly `window_len` committed
 //! instructions into one [`IntervalRecord`].
 //!
+//! A sampled cell splits into two halves. The [`WarmSchedule`] is the
+//! design-independent one: the placed windows, each with the warm state
+//! functional warming has built by its start. Warming reads only the
+//! reference stream, the block sizes and the page geometry, so a sweep
+//! builds one schedule per benchmark input and shares it across every
+//! design. The per-design half, [`WarmSchedule::run`], installs each
+//! window's state and times it under a [`WindowGate`].
+//! [`run_sampled_uops`] chains the two for one design.
+//!
 //! The estimator is the classic systematic-sample Student-t interval
 //! over per-window CPI (cycles per instruction). Windows hold an equal
 //! number of committed instructions, so the mean of per-window CPIs *is*
@@ -24,9 +33,9 @@
 //! identical plans give byte-identical journals and reports.
 
 use hbat_core::designs::spec::DesignSpec;
-use hbat_cpu::{RunMetrics, WarmAccumulator, WarmExport};
+use hbat_cpu::{RunMetrics, WarmAccumulator, WarmExport, WarmState};
 use hbat_isa::uop::MicroOp;
-use hbat_obs::{IntervalRecord, OccupancySample, Recorder, StallCause};
+use hbat_obs::{prof, IntervalRecord, OccupancySample, Recorder, StallCause};
 use hbat_stats::ci::{ConfLevel, ConfidenceInterval};
 
 use crate::experiment::{run_cell, ExperimentConfig};
@@ -358,10 +367,92 @@ impl SampledCell {
     }
 }
 
-/// Runs one sampled (trace, design) cell: chains functional gaps and
-/// detailed windows over `ops`, starting from the warm-accumulator
-/// state in `export` (`None` = cold start, i.e. the trace begins at
-/// program start). Deterministic: identical `(ops, design, cfg, plan,
+/// The design-independent half of a sampled cell: the plan's windows
+/// over one timing input, each paired with the [`WarmState`] that
+/// functional warming has built by the window's first detailed op.
+///
+/// Warming reads only the committed-path reference stream, the
+/// machine's block sizes and the page geometry — never the translator
+/// under test — so one schedule serves every design of a sweep
+/// (DESIGN.md §15). A sweep builds it once per benchmark input and
+/// [`run`](Self::run)s it once per design; [`run_sampled_uops`] is the
+/// one-design form of the same two steps.
+#[derive(Debug)]
+pub struct WarmSchedule<'a> {
+    ops: &'a [MicroOp],
+    cfg: &'a ExperimentConfig,
+    windows: Vec<(SampleWindow, WarmState)>,
+}
+
+impl<'a> WarmSchedule<'a> {
+    /// Chains functional gaps over `ops` from the accumulator state in
+    /// `export` (`None` = cold start, i.e. the trace begins at program
+    /// start), snapshotting the install-form warm state at every
+    /// window of `plan`. Deterministic: identical `(ops, cfg, export,
+    /// plan)` give identical schedules.
+    pub fn build(
+        ops: &'a [MicroOp],
+        cfg: &'a ExperimentConfig,
+        export: Option<&WarmExport>,
+        plan: &SamplePlan,
+    ) -> WarmSchedule<'a> {
+        let _prof = prof::scope("warm-schedule");
+        let mut acc = match export {
+            Some(e) => WarmAccumulator::import(&cfg.sim, cfg.geometry, e),
+            None => WarmAccumulator::new(&cfg.sim, cfg.geometry),
+        };
+        let placed = plan_windows(plan, ops.len() as u64);
+        let mut windows = Vec::with_capacity(placed.len());
+        let mut pos = 0usize;
+        for w in placed {
+            // Functional gap up to the window, then the window's own ops
+            // — the accumulator is the sole warm-state carrier, so it
+            // must see every committed instruction exactly once. A
+            // window's drain ops (see `run`) are re-played here by the
+            // next gap or window.
+            let (warm_start, end) = (w.warm_start as usize, w.end as usize);
+            acc.warm_gap(ops.get(pos..warm_start).unwrap_or_default());
+            windows.push((w, acc.warm_state()));
+            acc.warm_gap(ops.get(warm_start..end).unwrap_or_default());
+            pos = end;
+        }
+        // Ops past the last window never influence a measurement;
+        // skipping them is where the tail of the speedup comes from.
+        WarmSchedule { ops, cfg, windows }
+    }
+
+    /// Runs every window of the schedule on `design`: the window's warm
+    /// state installed, its detailed slice timed, and its measurement
+    /// taken by a [`WindowGate`].
+    pub fn run(&self, design: DesignSpec) -> SampledCell {
+        // The detailed slice runs past the measured window by a drain
+        // margin so the gate closes while the pipeline is still full —
+        // ending the simulation exactly at the window boundary would let
+        // the window pocket the warmup's in-flight head start (up to a
+        // ROB's worth of pre-issued work) without paying any tail,
+        // biasing IPC high by roughly rob_entries / window_len.
+        let drain = 4 * self.cfg.sim.rob_entries;
+        let mut records = Vec::with_capacity(self.windows.len());
+        for (w, warm) in &self.windows {
+            let _prof = prof::scope("sampled-window");
+            let detail_end = (w.end as usize).saturating_add(drain).min(self.ops.len());
+            let detail_ops = self
+                .ops
+                .get(w.warm_start as usize..detail_end)
+                .unwrap_or_default();
+            let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
+            run_cell(detail_ops, Some(warm), design, self.cfg, &mut gate);
+            let mut rec = gate.record();
+            rec.start = w.meas_start;
+            records.push(rec);
+        }
+        SampledCell::from_windows(records)
+    }
+}
+
+/// Runs one sampled (trace, design) cell: builds the [`WarmSchedule`]
+/// of `ops` from `export` (`None` = cold start) and runs it on
+/// `design`. Deterministic: identical `(ops, design, cfg, plan,
 /// export)` give identical results.
 pub fn run_sampled_uops(
     ops: &[MicroOp],
@@ -370,44 +461,7 @@ pub fn run_sampled_uops(
     export: Option<&WarmExport>,
     plan: &SamplePlan,
 ) -> SampledCell {
-    let mut acc = match export {
-        Some(e) => WarmAccumulator::import(&cfg.sim, cfg.geometry, e),
-        None => WarmAccumulator::new(&cfg.sim, cfg.geometry),
-    };
-    let windows = plan_windows(plan, ops.len() as u64);
-    let mut records = Vec::with_capacity(windows.len());
-    let mut pos = 0usize;
-    // The detailed slice runs past the measured window by a drain
-    // margin so the gate closes while the pipeline is still full —
-    // ending the simulation exactly at the window boundary would let
-    // the window pocket the warmup's in-flight head start (up to a
-    // ROB's worth of pre-issued work) without paying any tail, biasing
-    // IPC high by roughly rob_entries / window_len.
-    let drain = 4 * cfg.sim.rob_entries;
-    for w in &windows {
-        // Functional gap up to the window, then the window's own ops —
-        // the accumulator is the sole warm-state carrier, so it must
-        // see every committed instruction exactly once. The drain ops
-        // past `end` are timing throwaway: they are re-played (once)
-        // through the accumulator by a later gap or window.
-        let (warm_start, end) = (w.warm_start as usize, w.end as usize);
-        let detail_end = end.saturating_add(drain).min(ops.len());
-        let gap = ops.get(pos..warm_start).unwrap_or_default();
-        let win_ops = ops.get(warm_start..end).unwrap_or_default();
-        let detail_ops = ops.get(warm_start..detail_end).unwrap_or_default();
-        acc.warm_gap(gap);
-        let warm = acc.warm_state();
-        let mut gate = WindowGate::new(w.meas_start - w.warm_start, w.end - w.meas_start);
-        run_cell(detail_ops, Some(&warm), design, cfg, &mut gate);
-        let mut rec = gate.record();
-        rec.start = w.meas_start;
-        records.push(rec);
-        acc.warm_gap(win_ops);
-        pos = end;
-    }
-    // Ops past the last window never influence a measurement; skipping
-    // them is where the tail of the speedup comes from.
-    SampledCell::from_windows(records)
+    WarmSchedule::build(ops, cfg, export, plan).run(design)
 }
 
 /// The primary estimator: a Student-t interval over per-window CPI

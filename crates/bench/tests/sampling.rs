@@ -10,6 +10,9 @@
 //!   all thirteen Table-2 designs at test scale;
 //! * sampling composes with checkpointed fast-forward (distinct
 //!   fingerprint, windows placed in the tail past the boundary);
+//! * every cell of a sampled sweep, which shares one warm schedule per
+//!   benchmark input across its designs, equals a standalone
+//!   `run_sampled_uops` of that cell — cold, checkpointed and resumed;
 //! * `--sample` with `--observe`/`--intervals` is rejected before any
 //!   cell runs.
 
@@ -265,6 +268,122 @@ fn sampling_composes_with_checkpointed_fast_forward() {
     assert!(
         line.contains(&format!("\"config\":\"{combined}\"")),
         "journal must carry the combined fingerprint {combined}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Asserts that every completed cell of `r` equals a standalone
+/// [`run_sampled_uops`] of the same (benchmark, design) on its own
+/// timing input: the cold trace, or the tail past `boundary` with its
+/// warm export, rebuilt here without the checkpoint store.
+fn assert_cells_match_standalone(r: &FtSweepResult, cfg: &ExperimentConfig, boundary: Option<u64>) {
+    let cache = TraceCache::new();
+    for (bench, row) in Benchmark::ALL.into_iter().zip(&r.cells) {
+        let wt = boundary.map(|b| hbat_bench::ckpt::build_warm_trace_cold(bench, cfg, b).unwrap());
+        let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+        let (ops, export) = match &wt {
+            Some(wt) => (wt.tail.ops(), Some(&wt.export)),
+            None => (uops.ops(), None),
+        };
+        for cell in row {
+            let c = cell.ok().unwrap();
+            let want = run_sampled_uops(ops, c.design, cfg, export, &plan());
+            let who = format!("{bench}/{} (boundary {boundary:?})", c.design.mnemonic());
+            assert!(!want.windows.is_empty(), "{who}: no windows");
+            assert_eq!(c.windows, want.windows, "{who}: windows");
+            assert_eq!(c.metrics, want.metrics, "{who}: metrics");
+        }
+    }
+}
+
+#[test]
+fn shared_warm_schedules_equal_per_design_cells_cold_checkpointed_and_resumed() {
+    let dir = tmp_dir("shared");
+    let cfg = ExperimentConfig::baseline(Scale::Test);
+    // One cache for both sweeps, so the cold and the checkpointed
+    // sweep see the same benchmarks in one process: a schedule that
+    // outlived its sweep, or was keyed by benchmark alone, would hand
+    // the checkpointed cells the cold windows.
+    let cache = TraceCache::new();
+    let boundary = 1_000;
+    let sweep = |checkpoint: Option<u64>, journal: &Path, resume: bool| {
+        let opts = SweepOptions {
+            threads: 2,
+            journal: Some(journal.to_path_buf()),
+            resume,
+            sample: Some(plan()),
+            checkpoint: checkpoint.map(|boundary| CheckpointOptions {
+                dir: dir.join("snaps"),
+                interval: 400,
+                boundary,
+            }),
+            ..SweepOptions::default()
+        };
+        sweep_ft_on(&designs(), &cfg, &opts, &cache).unwrap()
+    };
+
+    let cold_journal = dir.join("cold.journal");
+    let cold = sweep(None, &cold_journal, false);
+    assert_eq!(cold.completed(), 30);
+    assert_cells_match_standalone(&cold, &cfg, None);
+
+    let ckpt = sweep(Some(boundary), &dir.join("ckpt.journal"), false);
+    assert_eq!(ckpt.completed(), 30);
+    assert_cells_match_standalone(&ckpt, &cfg, Some(boundary));
+
+    // Resume with the first benchmark's cells all journalled and the
+    // second's only partly: the first never needs its schedule, the
+    // second builds it for its remaining designs.
+    let [full_bench, part_bench, ..] = Benchmark::ALL;
+    let part_design = format!("{:?}", designs()[0]);
+    let keep = |bench: &str, design: &str| {
+        bench == full_bench.name() || (bench == part_bench.name() && design == part_design)
+    };
+    let journal = std::fs::read_to_string(&cold_journal).unwrap();
+    let sidecar = std::fs::read_to_string(iv_sidecar_path(&cold_journal)).unwrap();
+    let records = hbat_bench::read_journal(&cold_journal).unwrap();
+    let kept_keys: Vec<_> = records
+        .iter()
+        .filter(|r| keep(&r.key.bench, &r.key.design))
+        .map(|r| r.key.clone())
+        .collect();
+    assert_eq!(kept_keys.len(), designs().len() + 1);
+    let filter = |text: &str| {
+        text.lines()
+            .filter(|l| {
+                kept_keys.iter().any(|k| {
+                    l.contains(&format!("\"bench\":\"{}\"", k.bench))
+                        && l.contains(&format!("\"design\":\"{}\"", k.design))
+                })
+            })
+            .fold(String::new(), |mut acc, l| {
+                acc.push_str(l);
+                acc.push('\n');
+                acc
+            })
+    };
+    let part = dir.join("part.journal");
+    std::fs::write(&part, filter(&journal)).unwrap();
+    std::fs::write(iv_sidecar_path(&part), filter(&sidecar)).unwrap();
+
+    let resumed = sweep(None, &part, true);
+    assert_eq!(resumed.resumed, kept_keys.len());
+    assert_eq!(resumed.completed(), 30);
+    assert_cells_match_standalone(&resumed, &cfg, None);
+    // Thread completion order varies, so compare the line sets.
+    let sorted = |path: &Path| {
+        let mut lines: Vec<String> = std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        lines.sort();
+        lines
+    };
+    assert_eq!(sorted(&part), sorted(&cold_journal));
+    assert_eq!(
+        sorted(&iv_sidecar_path(&part)),
+        sorted(&iv_sidecar_path(&cold_journal))
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -291,6 +291,38 @@ fn prof_flag_prints_the_self_profile() {
     let (ok, _, stderr) = hbat(&["run", "Espresso", "M8", "--scale", "test"]);
     assert!(ok);
     assert!(!stderr.contains("self-profile"), "{stderr}");
+
+    // A sampled sweep profiles its warm schedules (one per benchmark)
+    // and its detailed windows inside the cell phase.
+    let dir = std::env::temp_dir().join(format!("hbat-cli-prof-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("sampled.journal");
+    let sweep = |resume: bool| {
+        let mut args = vec!["sweep", "--scale", "test", "--sample", "4:200:50", "--prof"];
+        args.extend(["--journal", journal.to_str().unwrap()]);
+        if resume {
+            args.push("--resume");
+        }
+        let (ok, _, stderr) = hbat(&args);
+        assert!(ok, "{stderr}");
+        stderr
+    };
+    let stderr = sweep(false);
+    let calls = |path: &str| {
+        stderr
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(path))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|n| n.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {path} scope:\n{stderr}"))
+    };
+    assert_eq!(calls("cell-run/warm-schedule"), 10, "one per benchmark");
+    assert!(calls("cell-run/sampled-window") >= 10 * 13, "{stderr}");
+    // A fully restored sweep runs no cell, so it builds no schedule.
+    let stderr = sweep(true);
+    assert!(!stderr.contains("warm-schedule"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
