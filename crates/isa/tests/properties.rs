@@ -290,3 +290,131 @@ proptest! {
         prop_assert_eq!(m.read_le(VirtAddr(addr), width.bytes()), val & mask);
     }
 }
+
+// ---- functional memory against a byte-at-a-time reference model ----
+
+/// The reference model: one map entry per written byte, every other
+/// byte zero — the semantics `Memory` must keep whatever its storage
+/// granule.
+#[derive(Default)]
+struct ByteModel(std::collections::BTreeMap<u64, u8>);
+
+impl ByteModel {
+    fn read_le(&self, addr: u64, n: u64) -> u64 {
+        (0..n).fold(0, |v, i| {
+            let b = self.0.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+            v | u64::from(b) << (8 * i)
+        })
+    }
+
+    fn write_le(&mut self, addr: u64, val: u64, n: u64) {
+        for i in 0..n {
+            self.0.insert(addr.wrapping_add(i), (val >> (8 * i)) as u8);
+        }
+    }
+}
+
+/// Chunk boundaries worth probing: the first, an interior one, and the
+/// top of the address space (where an access wraps to address 0).
+const BOUNDARIES: [u64; 3] = [0x1000, 0x10_0000, 0];
+
+/// Every access that starts within 8 bytes of a chunk boundary.
+fn boundary_accesses() -> impl Iterator<Item = (u64, u64)> {
+    BOUNDARIES.into_iter().flat_map(|b| {
+        (-8i64..8).flat_map(move |d| [1u64, 2, 4, 8].map(|n| (b.wrapping_add(d as u64), n)))
+    })
+}
+
+/// A distinct, all-bytes-nonzero value per access.
+fn pattern(i: usize) -> u64 {
+    (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 0x0101_0101_0101_0101
+}
+
+#[test]
+fn memory_matches_byte_model_around_chunk_boundaries() {
+    let mut m = Memory::new();
+    let mut model = ByteModel::default();
+    for (i, (addr, n)) in boundary_accesses().enumerate() {
+        // Every read near the boundary agrees before and after each write.
+        m.write_le(VirtAddr(addr), pattern(i), n);
+        model.write_le(addr, pattern(i), n);
+        for (a, w) in boundary_accesses() {
+            assert_eq!(
+                m.read_le(VirtAddr(a), w),
+                model.read_le(a, w),
+                "read {w} bytes at {a:#x} after writing {n} bytes at {addr:#x}"
+            );
+        }
+    }
+    // Only the chunks the model touched were materialised.
+    let mut chunks: Vec<u64> = model.0.keys().map(|a| a >> 12).collect();
+    chunks.dedup();
+    assert_eq!(m.chunk_count(), chunks.len());
+}
+
+#[test]
+fn reading_unmaterialised_memory_creates_no_chunk() {
+    let mut m = Memory::new();
+    m.write_u8(VirtAddr(0x1000), 1);
+    for (addr, n) in boundary_accesses() {
+        let expect = if (addr..addr.wrapping_add(n)).contains(&0x1000) {
+            None
+        } else {
+            Some(0)
+        };
+        let v = m.read_le(VirtAddr(addr), n);
+        if let Some(e) = expect {
+            assert_eq!(v, e, "{n} bytes at {addr:#x}");
+        }
+        assert_eq!(
+            m.chunk_count(),
+            1,
+            "a {n}-byte read at {addr:#x} materialised a chunk"
+        );
+    }
+}
+
+/// FNV-1a 64 over every exported chunk (base address, then bytes).
+fn export_digest(m: &Memory) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (base, bytes) in m.export_chunks() {
+        for &b in base.to_le_bytes().iter().chain(bytes) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Snapshot bytes depend only on memory contents: every workload's
+/// seeded image and its final memory export exactly the chunks they
+/// did when memory was byte-granular (digests frozen from that code).
+#[test]
+fn workload_memory_exports_are_unchanged() {
+    use hbat_workloads::{Benchmark, Scale, WorkloadConfig};
+    let cfg = WorkloadConfig::new(Scale::Test);
+    let mut seeded = Vec::new();
+    let mut finished = Vec::new();
+    for bench in Benchmark::ALL {
+        let w = bench.build(&cfg);
+        let mut m = w.instantiate();
+        seeded.push((m.memory().chunk_count(), export_digest(m.memory())));
+        m.run(w.max_steps, |_| {});
+        assert!(m.is_halted(), "{bench} did not halt");
+        finished.push((m.memory().chunk_count(), export_digest(m.memory())));
+    }
+    let render = |v: &[(usize, u64)]| {
+        v.iter()
+            .map(|(c, d)| format!("{c}:{d:016x}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    assert_eq!(render(&seeded), SEEDED_EXPORTS);
+    assert_eq!(render(&finished), FINISHED_EXPORTS);
+}
+
+const SEEDED_EXPORTS: &str = "1:387b5b9356ba73e1 16:e359bc44d4c65026 2:a74765ca72d830c5 \
+    3:8b53955af80434a0 1:90f4c4a770b3ad79 5:12b60919572df7e0 1:8adbc31f9f6c632b \
+    3:01d078801d5d4f3b 1:5abc428acb26bf6e 0:cbf29ce484222325";
+const FINISHED_EXPORTS: &str = "12:f6964817f025dcd3 18:15dd7e7e6a83e6b3 3:2fe30f1ae64b68c2 \
+    4:db867cff0b6d1cb7 25:cab521bf9ff64c76 9:be1501abdd9f7194 5:8d6d2fc4269764f3 \
+    6:174d8e4ccd11a91f 4:a0818957cda4adfb 8:2f1559cb1f020f34";
