@@ -38,8 +38,8 @@ fn main() {
     let scale = scale_from_args();
     let cfg = ExperimentConfig::baseline(scale);
     // One locality-poor and one locality-rich program.
-    let (_, compress) = uops_for(Benchmark::Compress, &cfg);
-    let (_, xlisp) = uops_for(Benchmark::Xlisp, &cfg);
+    let compress = uops_for(Benchmark::Compress, &cfg);
+    let xlisp = uops_for(Benchmark::Xlisp, &cfg);
     let pt = || PageTable::new(cfg.geometry);
 
     println!(

@@ -2,7 +2,7 @@
 //! to 128 entries (LRU replacement up to 16 entries, random from 32), per
 //! benchmark plus the run-time weighted average.
 
-use hbat_bench::experiment::{run_cell, scale_from_args, uops_for, ExperimentConfig};
+use hbat_bench::experiment::{run_cell, scale_from_args, trace_for, uops_for, ExperimentConfig};
 use hbat_bench::missrate::{miss_rate_percent, FIG6_SIZES};
 use hbat_core::designs::spec::DesignSpec;
 use hbat_obs::NullRecorder;
@@ -23,7 +23,7 @@ fn main() {
     let mut weights = Vec::new();
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); FIG6_SIZES.len()];
     for bench in Benchmark::ALL {
-        let (trace, uops) = uops_for(bench, &cfg);
+        let (trace, uops) = (trace_for(bench, &cfg), uops_for(bench, &cfg));
         let t4 = run_cell(
             &uops,
             None,

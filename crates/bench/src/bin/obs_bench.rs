@@ -28,7 +28,7 @@ fn main() {
     let cfg = ExperimentConfig::baseline(scale);
     let bench = Benchmark::Compress;
     let design = DesignSpec::parse("M8").expect("known design");
-    let (trace, uops) = uops_for(bench, &cfg);
+    let uops = uops_for(bench, &cfg);
     let reps = 5u32;
     let null = || run_cell(uops.ops(), None, design, &cfg, NullRecorder);
     let traced = || {
@@ -77,7 +77,7 @@ fn main() {
         .str("workload", bench.name())
         .str("design", design.mnemonic())
         .str("engine", "uop")
-        .int("instructions", trace.len() as u64)
+        .int("instructions", uops.len() as u64)
         .int("reps", u64::from(reps))
         .num("null_ms", null_ms)
         .num("traced_ms", traced_ms)

@@ -3,7 +3,8 @@
 //! path `hbat sweep` and the figure binaries use) on 1 worker and on N,
 //! each on a fresh trace cache so both pay the same trace builds.
 //! Verifies the two results are bit-identical and records the
-//! measurement in `results/BENCH_sweep.json`.
+//! measurement in `results/BENCH_sweep.json`, with the trace bytes the
+//! sweep keeps resident per simulated op.
 //!
 //! Run: `cargo run --release -p hbat-bench --bin sweep_bench [scale]`
 //! (`HBAT_THREADS` overrides N).
@@ -16,14 +17,19 @@ use hbat_bench::experiment::{
 };
 use hbat_core::designs::spec::DesignSpec;
 use hbat_cpu::RunMetrics;
+use hbat_workloads::Benchmark;
 
-fn sweep_on(cfg: &ExperimentConfig, designs: &[DesignSpec], threads: usize) -> FtSweepResult {
+fn sweep_on(
+    cfg: &ExperimentConfig,
+    designs: &[DesignSpec],
+    threads: usize,
+    cache: &TraceCache,
+) -> FtSweepResult {
     let opts = SweepOptions {
         threads,
         ..SweepOptions::default()
     };
-    let r = sweep_ft_on(designs, cfg, &opts, &TraceCache::new())
-        .expect("a sweep without a journal does no I/O");
+    let r = sweep_ft_on(designs, cfg, &opts, cache).expect("a sweep without a journal does no I/O");
     assert!(r.manifest.is_empty(), "{}", r.manifest.render());
     r
 }
@@ -38,16 +44,25 @@ fn main() {
     // would otherwise also pay the process's first-touch costs
     // (allocator growth, page faults), skewing the ratio by ~8%.
     eprintln!("warm-up sweep on {threads} threads...");
-    sweep_on(&cfg, &designs, threads);
+    sweep_on(&cfg, &designs, threads, &TraceCache::new());
 
     eprintln!(
         "1-thread sweep ({scale:?} scale, {} designs)...",
         designs.len()
     );
-    let (serial, serial_wall) = timed(|| sweep_on(&cfg, &designs, 1));
+    let (serial, serial_wall) = timed(|| sweep_on(&cfg, &designs, 1, &TraceCache::new()));
 
     eprintln!("sweep on {threads} threads...");
-    let (parallel, parallel_wall) = timed(|| sweep_on(&cfg, &designs, threads));
+    let cache = TraceCache::new();
+    let (parallel, parallel_wall) = timed(|| sweep_on(&cfg, &designs, threads, &cache));
+
+    // What the sweep keeps resident per simulated op: host-independent,
+    // so it is the gated trace-memory figure.
+    let ops: usize = Benchmark::ALL
+        .iter()
+        .map(|&b| cache.get_uops(b, &cfg.workload).len())
+        .sum();
+    let trace_bytes_per_op = cache.resident_bytes() as f64 / ops.max(1) as f64;
 
     // Both sweeps are complete, so cells line up index for index.
     let metrics = |r: &FtSweepResult| -> Vec<RunMetrics> {
@@ -106,6 +121,7 @@ fn main() {
         .num("speedup", speedup)
         .num("gated_speedup", if gate_active { speedup } else { 1.0 })
         .num("trace_build_ms", t.trace_build.as_secs_f64() * 1e3)
+        .num("trace_bytes_per_op", trace_bytes_per_op)
         .num("cell_exec_ms", t.cell_exec.as_secs_f64() * 1e3)
         .int("traces_built", t.traces_built)
         .int("trace_cache_hits", t.trace_cache_hits)

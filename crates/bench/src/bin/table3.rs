@@ -28,7 +28,7 @@ fn main() {
     ]);
     t.numeric();
     for bench in Benchmark::ALL {
-        let (_, uops) = uops_for(bench, &cfg);
+        let uops = uops_for(bench, &cfg);
         let m = run_cell(
             &uops,
             None,

@@ -56,7 +56,7 @@ fn main() {
 
     // Correctness first: the engine must reproduce the frozen digests.
     let test_cfg = ExperimentConfig::baseline(Scale::Test);
-    let (_, test_uops) = uops_for(bench, &test_cfg);
+    let test_uops = uops_for(bench, &test_cfg);
     for design in designs {
         let m = run_cell(&test_uops, None, design, &test_cfg, NullRecorder);
         // A full detailed run has no sampled windows.

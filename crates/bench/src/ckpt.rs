@@ -86,18 +86,14 @@ fn finish(
     acc: &WarmAccumulator,
     tail_guard: u64,
 ) -> Result<(PredecodedTrace, WarmState, WarmExport), CkptError> {
-    let tail = machine.run_to_vec(tail_guard);
+    let tail = PredecodedTrace::from_machine(machine, tail_guard);
     if !machine.is_halted() {
         return Err(CkptError::Malformed(format!(
             "workload {} did not halt within {tail_guard} tail steps",
             workload.name
         )));
     }
-    Ok((
-        PredecodedTrace::predecode(&tail),
-        acc.warm_state(),
-        acc.export(),
-    ))
+    Ok((tail, acc.warm_state(), acc.export()))
 }
 
 /// Builds a benchmark's warm trace with *no* disk involvement: a pure

@@ -9,8 +9,9 @@
 //! phases are separated and each is scheduled at cell granularity:
 //!
 //! 1. **Trace build** — each benchmark's trace is generated once, in
-//!    parallel, and published as `Arc<[TraceInst]>` through the
-//!    [`TraceCache`], so later sweeps in the same process reuse it.
+//!    parallel, straight into predecoded micro-ops, and published as
+//!    `Arc<PredecodedTrace>` through the [`TraceCache`], so later sweeps
+//!    in the same process reuse it.
 //! 2. **Cell execution** — all benchmark × design cells go into one
 //!    shared queue; workers claim the next cell with an atomic fetch-add
 //!    until the queue drains, so a slow cell never idles the other
@@ -447,28 +448,40 @@ where
 }
 
 /// A process-wide cache of generated benchmark traces, keyed by the
-/// complete workload identity. Traces are immutable once built, so they
-/// are shared as `Arc<[TraceInst]>`; a multi-figure binary that sweeps
-/// the same workload under several machine models builds each trace
-/// exactly once.
+/// complete workload identity. Each workload's executor runs once,
+/// straight into predecoded micro-ops ([`Workload::uops`]), shared as
+/// `Arc<PredecodedTrace>`; a multi-figure binary that sweeps the same
+/// workload under several machine models builds each trace exactly
+/// once. The raw `Arc<[TraceInst]>` form is decoded from the micro-ops
+/// (losslessly) on first request, for the analysis passes that read it.
+///
+/// [`Workload::uops`]: hbat_workloads::Workload::uops
 #[derive(Debug, Default)]
 pub struct TraceCache {
     /// One slot per workload; the `OnceLock` lets concurrent requesters
     /// of the same trace block on a single builder instead of racing.
-    slots: Mutex<HashMap<(Benchmark, WorkloadConfig), TraceSlot>>,
-    /// Predecoded micro-op form of the same workloads, built lazily from
-    /// the raw trace on first request (a separate map so the raw-only
+    uops: Mutex<HashMap<TraceKey, TraceSlot<PredecodedTrace>>>,
+    /// The decoded `TraceInst` view of the same workloads, filled only
+    /// when a caller asks for it (a separate map so the micro-op-only
     /// path pays nothing for it).
-    uops: Mutex<HashMap<(Benchmark, WorkloadConfig), UopSlot>>,
+    raw: Mutex<HashMap<TraceKey, TraceSlot<[TraceInst]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// A shared once-built trace slot in the [`TraceCache`].
-type TraceSlot = Arc<OnceLock<Arc<[TraceInst]>>>;
+/// The complete workload identity a [`TraceCache`] slot is keyed by.
+type TraceKey = (Benchmark, WorkloadConfig);
 
-/// A shared once-predecoded micro-op slot in the [`TraceCache`].
-type UopSlot = Arc<OnceLock<Arc<PredecodedTrace>>>;
+/// A shared once-built slot in the [`TraceCache`].
+type TraceSlot<T> = Arc<OnceLock<Arc<T>>>;
+
+/// The slot for `key` in `map`, created empty on first request.
+fn slot_of<T: ?Sized>(map: &Mutex<HashMap<TraceKey, TraceSlot<T>>>, key: TraceKey) -> TraceSlot<T> {
+    // Poison-tolerant: the map lock is never held across a builder, so
+    // a poisoned lock only means another worker panicked elsewhere; the
+    // map itself is still consistent.
+    unpoisoned(map.lock()).entry(key).or_default().clone()
+}
 
 impl TraceCache {
     /// An empty cache (tests use private caches; sweeps share
@@ -483,47 +496,42 @@ impl TraceCache {
         GLOBAL.get_or_init(TraceCache::new)
     }
 
-    /// Returns the trace for `bench` under `cfg`, building and publishing
-    /// it if no other caller has yet. Concurrent requests for the same
-    /// trace build it once; the rest block and share the result.
+    /// Returns the micro-ops for `bench` under `cfg`, running the
+    /// workload and publishing them if no other caller has yet.
+    /// Concurrent requests for the same workload build it once; the rest
+    /// block and share the result.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from the trace builder. The slot is *not*
+    /// Propagates a panic from the workload build. The slot is *not*
     /// wedged by that: the builder panic leaves the `OnceLock`
     /// uninitialized, so the next requester retries the build (see the
     /// builder-panic regression test).
-    pub fn get_or_build(&self, bench: Benchmark, cfg: &WorkloadConfig) -> Arc<[TraceInst]> {
-        self.get_or_build_with(bench, cfg, || {
+    pub fn get_uops(&self, bench: Benchmark, cfg: &WorkloadConfig) -> Arc<PredecodedTrace> {
+        self.get_uops_with(bench, cfg, || {
             let _prof = hbat_obs::prof::scope("workload-build");
-            bench.build(cfg).trace().into()
+            bench.build(cfg).uops()
         })
     }
 
-    /// [`TraceCache::get_or_build`] with an explicit builder — the form
-    /// the fault-injection tests drive to exercise builder panics.
+    /// [`TraceCache::get_uops`] with an explicit builder — the form the
+    /// fault-injection tests drive to exercise builder panics.
     ///
     /// # Panics
     ///
     /// Propagates a panic from `build` (the slot stays retryable).
-    pub fn get_or_build_with(
+    pub fn get_uops_with(
         &self,
         bench: Benchmark,
         cfg: &WorkloadConfig,
-        build: impl FnOnce() -> Arc<[TraceInst]>,
-    ) -> Arc<[TraceInst]> {
-        let slot = {
-            // Poison-tolerant: the map lock is never held across the
-            // builder, so a poisoned lock only means another worker
-            // panicked elsewhere; the map itself is still consistent.
-            let mut slots = unpoisoned(self.slots.lock());
-            slots.entry((bench, *cfg)).or_default().clone()
-        };
+        build: impl FnOnce() -> PredecodedTrace,
+    ) -> Arc<PredecodedTrace> {
+        let slot = slot_of(&self.uops, (bench, *cfg));
         let mut built = false;
-        let trace = slot
+        let uops = slot
             .get_or_init(|| {
                 built = true;
-                build()
+                Arc::new(build())
             })
             .clone();
         if built {
@@ -531,38 +539,62 @@ impl TraceCache {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        trace
+        uops
     }
 
-    /// Returns both forms of the workload — the raw trace and its
-    /// predecoded micro-ops — building each at most once process-wide.
-    ///
-    /// Counts exactly one hit-or-miss, like [`TraceCache::get_or_build`]
-    /// (which it calls for the raw form): the predecode is a cheap
-    /// derived artifact, not a second trace generation, so sweep
-    /// telemetry still reports one build per workload.
+    /// Returns the raw trace for `bench` under `cfg`: the `TraceInst`
+    /// view of [`TraceCache::get_uops`], decoded once process-wide.
     ///
     /// # Panics
     ///
-    /// Propagates a panic from the trace builder (both slots stay
+    /// Propagates a panic from the workload build (the slot stays
+    /// retryable).
+    pub fn get_or_build(&self, bench: Benchmark, cfg: &WorkloadConfig) -> Arc<[TraceInst]> {
+        self.get_or_build_uops(bench, cfg).0
+    }
+
+    /// Returns both forms of the workload — the raw trace and its
+    /// predecoded micro-ops — running the workload at most once
+    /// process-wide.
+    ///
+    /// Counts exactly one hit-or-miss, like [`TraceCache::get_uops`]
+    /// (which it calls for the micro-ops): the decode is a derived view,
+    /// not a second trace generation, so sweep telemetry still reports
+    /// one build per workload.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from the workload build (both slots stay
     /// retryable).
     pub fn get_or_build_uops(
         &self,
         bench: Benchmark,
         cfg: &WorkloadConfig,
     ) -> (Arc<[TraceInst]>, Arc<PredecodedTrace>) {
-        let raw = self.get_or_build(bench, cfg);
-        let slot = {
-            let mut slots = unpoisoned(self.uops.lock());
-            slots.entry((bench, *cfg)).or_default().clone()
-        };
-        let uops = slot
+        let uops = self.get_uops(bench, cfg);
+        let raw = slot_of(&self.raw, (bench, *cfg))
             .get_or_init(|| {
-                let _prof = hbat_obs::prof::scope("predecode");
-                Arc::new(PredecodedTrace::predecode(&raw))
+                let _prof = hbat_obs::prof::scope("decode");
+                uops.decode().into()
             })
             .clone();
         (raw, uops)
+    }
+
+    /// Bytes of trace data the cache holds: every built micro-op trace
+    /// plus every decoded `TraceInst` view.
+    pub fn resident_bytes(&self) -> u64 {
+        let uops: usize = unpoisoned(self.uops.lock())
+            .values()
+            .filter_map(|s| s.get())
+            .map(|u| std::mem::size_of_val(u.ops()))
+            .sum();
+        let raw: usize = unpoisoned(self.raw.lock())
+            .values()
+            .filter_map(|s| s.get())
+            .map(|t| std::mem::size_of_val(&**t))
+            .sum();
+        (uops + raw) as u64
     }
 
     /// Requests served from an already-built trace.
@@ -881,6 +913,22 @@ mod tests {
     }
 
     #[test]
+    fn resident_bytes_count_the_decoded_view_only_once_requested() {
+        use hbat_isa::uop::MicroOp;
+        let cache = TraceCache::new();
+        let cfg = WorkloadConfig::new(Scale::Test);
+        assert_eq!(cache.resident_bytes(), 0);
+        let n = cache.get_uops(Benchmark::Espresso, &cfg).len() as u64;
+        let uop_bytes = n * std::mem::size_of::<MicroOp>() as u64;
+        assert_eq!(cache.resident_bytes(), uop_bytes, "micro-ops only");
+        let raw = cache.get_or_build(Benchmark::Espresso, &cfg);
+        assert_eq!(raw.len() as u64, n);
+        let raw_bytes = n * std::mem::size_of::<TraceInst>() as u64;
+        assert_eq!(cache.resident_bytes(), uop_bytes + raw_bytes);
+        assert_eq!((cache.misses(), cache.hits()), (1, 1), "one executor run");
+    }
+
+    #[test]
     fn concurrent_requests_build_once() {
         let cache = TraceCache::new();
         let cfg = WorkloadConfig::new(Scale::Test);
@@ -896,7 +944,7 @@ mod tests {
         let cfg = WorkloadConfig::new(Scale::Test);
         // First request: the builder panics. The panic propagates…
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            cache.get_or_build_with(Benchmark::Gcc, &cfg, || panic!("builder exploded"))
+            cache.get_uops_with(Benchmark::Gcc, &cfg, || panic!("builder exploded"))
         }));
         assert!(r.is_err());
         assert_eq!((cache.misses(), cache.hits()), (0, 0));
@@ -919,9 +967,9 @@ mod tests {
         // panics: every worker must terminate (no deadlock), and at
         // least the retries must converge on a real trace.
         let outcomes = parallel_map_outcomes(6, 3, &RunPolicy::default(), |i, _ctx| {
-            cache.get_or_build_with(Benchmark::Perl, &cfg, || {
+            cache.get_uops_with(Benchmark::Perl, &cfg, || {
                 assert!(i != 0, "first builder exploded");
-                Benchmark::Perl.build(&cfg).trace().into()
+                Benchmark::Perl.build(&cfg).uops()
             })
         });
         let completed = outcomes.iter().filter(|o| o.is_ok()).count();

@@ -114,20 +114,18 @@ pub struct CellResult {
     pub windows: Vec<IntervalRecord>,
 }
 
-/// Generates the dynamic trace for one benchmark under `cfg` through the
-/// process-wide cache: the first request builds it, later requests for
-/// the same workload share the stored copy.
+/// The raw `TraceInst` trace of one benchmark under `cfg`, for the
+/// analysis passes: decoded once from the micro-ops [`uops_for`]
+/// shares, so the workload still runs only once per process.
 pub fn trace_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<[TraceInst]> {
     TraceCache::global().get_or_build(bench, &cfg.workload)
 }
 
-/// Like [`trace_for`], but returning both the raw trace and its
-/// predecoded micro-op form, each built at most once process-wide.
-pub fn uops_for(
-    bench: Benchmark,
-    cfg: &ExperimentConfig,
-) -> (Arc<[TraceInst]>, Arc<PredecodedTrace>) {
-    TraceCache::global().get_or_build_uops(bench, &cfg.workload)
+/// The predecoded micro-ops of one benchmark under `cfg` through the
+/// process-wide cache: the first request runs the workload, later
+/// requests for the same workload share the stored copy.
+pub fn uops_for(bench: Benchmark, cfg: &ExperimentConfig) -> Arc<PredecodedTrace> {
+    TraceCache::global().get_uops(bench, &cfg.workload)
 }
 
 /// Runs one (micro-ops, design) timing cell — the one detailed runner
@@ -617,7 +615,7 @@ pub fn sweep_ft_on(
                     });
                     BenchInput::Warm(Box::new(wt))
                 }
-                None => BenchInput::Full(cache.get_or_build_uops(benches[bi], &cfg.workload).1),
+                None => BenchInput::Full(cache.get_uops(benches[bi], &cfg.workload)),
             }
         })
     });

@@ -705,7 +705,7 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 4 };
-        let (_raw, uops) = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let p = plan(12, 400, 100);
 
         let a = run_sampled_uops(uops.ops(), design, &cfg, None, &p);
@@ -767,7 +767,7 @@ mod tests {
         use hbat_workloads::Benchmark;
         let cfg = ExperimentConfig::baseline(Scale::Test);
         let design = DesignSpec::MultiPorted { ports: 1 };
-        let (_raw, uops) = crate::experiment::uops_for(Benchmark::Compress, &cfg);
+        let uops = crate::experiment::uops_for(Benchmark::Compress, &cfg);
         let cell = run_sampled_uops(uops.ops(), design, &cfg, None, &plan(5, 300, 50));
         let rebuilt = SampledCell::from_windows(cell.windows.clone());
         assert_eq!(

@@ -168,7 +168,7 @@ fn per_window_invariant_holds_for_every_workload_and_design() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let cache = TraceCache::new();
     for bench in Benchmark::ALL {
-        let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+        let uops = cache.get_uops(bench, &cfg.workload);
         for design in designs() {
             let mut iv = IntervalRecorder::new(512);
             let m = run_cell(uops.ops(), None, design, &cfg, &mut iv);
@@ -187,7 +187,7 @@ fn per_window_invariant_holds_for_every_workload_and_design() {
 fn metrics_are_bit_identical_across_all_table2_designs() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let cache = TraceCache::new();
-    let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
+    let uops = cache.get_uops(Benchmark::Compress, &cfg.workload);
     for design in DesignSpec::TABLE2 {
         let plain = run_cell(uops.ops(), None, design, &cfg, NullRecorder);
         let mut iv = IntervalRecorder::new(777);
@@ -207,7 +207,7 @@ fn metrics_are_bit_identical_across_all_table2_designs() {
 fn short_runs_and_awkward_widths_produce_correct_partial_windows() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let cache = TraceCache::new();
-    let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
+    let uops = cache.get_uops(Benchmark::Compress, &cfg.workload);
     let design = DesignSpec::parse("M8").unwrap();
 
     // A width wider than the whole run: exactly one partial window.

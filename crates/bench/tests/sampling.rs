@@ -210,7 +210,7 @@ fn sampled_cis_cover_full_run_ground_truth_for_every_workload() {
 fn sampled_cis_cover_ground_truth_on_all_thirteen_table2_designs() {
     let cfg = ExperimentConfig::baseline(Scale::Test);
     let cache = TraceCache::new();
-    let (_, uops) = cache.get_or_build_uops(Benchmark::Compress, &cfg.workload);
+    let uops = cache.get_uops(Benchmark::Compress, &cfg.workload);
     let p = plan();
     for design in DesignSpec::TABLE2 {
         let truth = run_cell(uops.ops(), None, design, &cfg, NullRecorder).ipc();
@@ -280,7 +280,7 @@ fn assert_cells_match_standalone(r: &FtSweepResult, cfg: &ExperimentConfig, boun
     let cache = TraceCache::new();
     for (bench, row) in Benchmark::ALL.into_iter().zip(&r.cells) {
         let wt = boundary.map(|b| hbat_bench::ckpt::build_warm_trace_cold(bench, cfg, b).unwrap());
-        let (_, uops) = cache.get_or_build_uops(bench, &cfg.workload);
+        let uops = cache.get_uops(bench, &cfg.workload);
         let (ops, export) = match &wt {
             Some(wt) => (wt.tail.ops(), Some(&wt.export)),
             None => (uops.ops(), None),

@@ -3,14 +3,23 @@
 //! Backs the executor with byte-addressable storage allocated lazily in
 //! fixed 4 KiB chunks (a storage granule, independent of the simulated
 //! virtual-memory page size). Unwritten memory reads as zero, like
-//! demand-zero pages.
+//! demand-zero pages. An access that fits inside one chunk costs one
+//! chunk lookup; only chunk-straddling accesses go byte by byte.
 
 use std::collections::HashMap;
 
 use hbat_core::addr::VirtAddr;
+use hbat_core::hash::FastHashBuilder;
 
 const CHUNK_BITS: u32 = 12;
 const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
+const OFFSET_MASK: u64 = CHUNK_SIZE as u64 - 1;
+
+/// Splits an address into its chunk key and the offset inside it.
+#[inline(always)]
+fn split(addr: u64) -> (u64, usize) {
+    (addr >> CHUNK_BITS, (addr & OFFSET_MASK) as usize)
+}
 
 /// Sparse, zero-initialised functional memory.
 ///
@@ -27,7 +36,10 @@ const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    chunks: HashMap<u64, Box<[u8; CHUNK_SIZE]>>,
+    /// Keyed by simulated addresses (the workload's own, or a restored
+    /// snapshot's checksummed chunk set), so the fast keyless hasher
+    /// is safe here.
+    chunks: HashMap<u64, Box<[u8; CHUNK_SIZE]>, FastHashBuilder>,
 }
 
 impl Memory {
@@ -41,17 +53,17 @@ impl Memory {
         self.chunks.len()
     }
 
-    fn chunk_mut(&mut self, addr: u64) -> &mut [u8; CHUNK_SIZE] {
+    fn chunk_mut(&mut self, key: u64) -> &mut [u8; CHUNK_SIZE] {
         self.chunks
-            .entry(addr >> CHUNK_BITS)
+            .entry(key)
             .or_insert_with(|| Box::new([0; CHUNK_SIZE]))
     }
 
     /// Reads one byte.
     pub fn read_u8(&self, addr: VirtAddr) -> u8 {
-        let off = (addr.0 & (CHUNK_SIZE as u64 - 1)) as usize;
+        let (key, off) = split(addr.0);
         self.chunks
-            .get(&(addr.0 >> CHUNK_BITS))
+            .get(&key)
             .and_then(|c| c.get(off))
             .copied()
             .unwrap_or(0)
@@ -59,8 +71,8 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: VirtAddr, val: u8) {
-        let off = (addr.0 & (CHUNK_SIZE as u64 - 1)) as usize;
-        if let Some(b) = self.chunk_mut(addr.0).get_mut(off) {
+        let (key, off) = split(addr.0);
+        if let Some(b) = self.chunk_mut(key).get_mut(off) {
             *b = val;
         }
     }
@@ -69,6 +81,16 @@ impl Memory {
     /// straddle chunk boundaries.
     pub fn read_le(&self, addr: VirtAddr, n: u64) -> u64 {
         debug_assert!(n <= 8);
+        let (key, off) = split(addr.0);
+        let len = n as usize;
+        if let Some(end) = off.checked_add(len).filter(|&e| e <= CHUNK_SIZE) {
+            let mut buf = [0u8; 8];
+            let src = self.chunks.get(&key).and_then(|c| c.get(off..end));
+            if let (Some(src), Some(dst)) = (src, buf.get_mut(..len)) {
+                dst.copy_from_slice(src);
+            }
+            return u64::from_le_bytes(buf);
+        }
         let mut v = 0u64;
         for i in 0..n {
             v |= (self.read_u8(VirtAddr(addr.0.wrapping_add(i))) as u64) << (8 * i);
@@ -79,6 +101,16 @@ impl Memory {
     /// Writes the low `n` bytes of `val` little-endian (`n <= 8`).
     pub fn write_le(&mut self, addr: VirtAddr, val: u64, n: u64) {
         debug_assert!(n <= 8);
+        let (key, off) = split(addr.0);
+        let len = n as usize;
+        if let Some(end) = off.checked_add(len).filter(|&e| e <= CHUNK_SIZE) {
+            let bytes = val.to_le_bytes();
+            let chunk = self.chunk_mut(key);
+            if let (Some(dst), Some(src)) = (chunk.get_mut(off..end), bytes.get(..len)) {
+                dst.copy_from_slice(src);
+            }
+            return;
+        }
         for i in 0..n {
             self.write_u8(VirtAddr(addr.0.wrapping_add(i)), (val >> (8 * i)) as u8);
         }
@@ -104,10 +136,19 @@ impl Memory {
         self.write_u64(addr, val.to_bits())
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
+    /// Copies a byte slice into memory starting at `addr`, one chunk
+    /// at a time.
     pub fn write_bytes(&mut self, addr: VirtAddr, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(VirtAddr(addr.0.wrapping_add(i as u64)), b);
+        let mut addr = addr.0;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let (key, off) = split(addr);
+            let (head, tail) = rest.split_at((CHUNK_SIZE - off).min(rest.len()));
+            if let Some(dst) = self.chunk_mut(key).get_mut(off..off + head.len()) {
+                dst.copy_from_slice(head);
+            }
+            addr = addr.wrapping_add(head.len() as u64);
+            rest = tail;
         }
     }
 
@@ -138,7 +179,7 @@ impl Memory {
     /// Returns `Err` when `base` is not chunk-aligned or `bytes` is not
     /// exactly one chunk — a malformed snapshot, not a caller bug.
     pub fn import_chunk(&mut self, base: u64, bytes: &[u8]) -> Result<(), String> {
-        if base & (CHUNK_SIZE as u64 - 1) != 0 {
+        if base & OFFSET_MASK != 0 {
             return Err(format!(
                 "chunk base {base:#x} is not {CHUNK_SIZE}-byte aligned"
             ));
@@ -149,8 +190,7 @@ impl Memory {
                 bytes.len()
             ));
         }
-        let chunk = self.chunk_mut(base);
-        chunk.copy_from_slice(bytes);
+        self.chunk_mut(base >> CHUNK_BITS).copy_from_slice(bytes);
         Ok(())
     }
 
@@ -242,5 +282,16 @@ mod tests {
         m.write_bytes(VirtAddr(0x10), b"hello");
         assert_eq!(m.read_u8(VirtAddr(0x10)), b'h');
         assert_eq!(m.read_u8(VirtAddr(0x14)), b'o');
+        // A slice spanning three chunks lands byte for byte and
+        // materialises exactly the chunks it covers.
+        let long: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8 + 1).collect();
+        let mut s = Memory::new();
+        s.write_bytes(VirtAddr(0xff0), &long);
+        assert_eq!(s.chunk_count(), 3);
+        for (i, &b) in long.iter().enumerate() {
+            assert_eq!(s.read_u8(VirtAddr(0xff0 + i as u64)), b, "byte {i}");
+        }
+        assert_eq!(s.read_u8(VirtAddr(0xfef)), 0);
+        assert_eq!(s.read_u8(VirtAddr(0xff0 + 5000)), 0);
     }
 }

@@ -31,6 +31,7 @@
 use hbat_core::addr::VirtAddr;
 use hbat_core::request::{AccessKind, WritebackKind};
 
+use crate::executor::Machine;
 use crate::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
 use crate::program::Program;
 use crate::reg::Reg;
@@ -251,6 +252,18 @@ impl PredecodedTrace {
         }
     }
 
+    /// Runs `machine` until halt or `max_steps` and encodes each record
+    /// as it retires: the one-pass build, equal to
+    /// `predecode(&machine.run_to_vec(max_steps))` without ever holding
+    /// the [`TraceInst`] trace.
+    pub fn from_machine(machine: &mut Machine, max_steps: u64) -> PredecodedTrace {
+        let mut ops = Vec::new();
+        machine.run(max_steps, |t| ops.push(MicroOp::encode(&t)));
+        PredecodedTrace {
+            ops: ops.into_boxed_slice(),
+        }
+    }
+
     /// The micro-ops, in program order.
     pub fn ops(&self) -> &[MicroOp] {
         &self.ops
@@ -266,7 +279,8 @@ impl PredecodedTrace {
         self.ops.is_empty()
     }
 
-    /// Decodes back to the original trace (round-trip tests).
+    /// Decodes back to the original trace: the [`TraceInst`] view the
+    /// analysis passes read (lossless, see [`MicroOp::decode`]).
     pub fn decode(&self) -> Vec<TraceInst> {
         self.ops.iter().map(MicroOp::decode).collect()
     }

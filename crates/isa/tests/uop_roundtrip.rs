@@ -7,7 +7,8 @@
 //! * dynamically, executing a program that exercises every form and
 //!   predecoding the resulting trace (`PredecodedTrace`) → `decode`
 //!   reproduces the executor's `TraceInst` records byte-for-byte — and
-//!   so does every benchmark workload's trace.
+//!   so does every benchmark workload's trace, whose one-pass build
+//!   (`Workload::uops`) equals predecoding its collected trace.
 
 use hbat_isa::inst::{AddrMode, AluOp, Cond, FpuOp, Inst, Operand, Width};
 use hbat_isa::uop::{DecodedInst, MicroOp, PredecodedTrace};
@@ -334,5 +335,11 @@ fn every_workload_predecodes_losslessly() {
         for (i, t) in trace.iter().enumerate() {
             assert_eq!(uops[i].decode(), *t, "{bench}: record {i} not lossless");
         }
+        // The one-pass build (encode as the executor retires) yields
+        // the same micro-ops as predecoding the collected trace.
+        assert!(
+            bench.build(&cfg).uops() == uops,
+            "{bench}: one-pass build differs"
+        );
     }
 }

@@ -8,6 +8,8 @@
 
 use hbat_isa::executor::Machine;
 use hbat_isa::program::Program;
+use hbat_isa::trace::TraceInst;
+use hbat_isa::uop::PredecodedTrace;
 
 use crate::config::{Scale, WorkloadConfig};
 use crate::programs;
@@ -42,16 +44,38 @@ impl Workload {
     ///
     /// Panics if the program fails to halt within `max_steps` (a workload
     /// bug, not an input condition).
-    pub fn trace(&self) -> Vec<hbat_isa::trace::TraceInst> {
+    pub fn trace(&self) -> Vec<TraceInst> {
+        self.run_to_halt(|m| m.run_to_vec(self.max_steps))
+    }
+
+    /// Runs the workload to completion, returning its predecoded
+    /// micro-ops — the one-pass build the timing engine replays, equal to
+    /// `PredecodedTrace::predecode(&self.trace())` without materialising
+    /// the `TraceInst` trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program fails to halt within `max_steps`, like
+    /// [`Workload::trace`].
+    pub fn uops(&self) -> PredecodedTrace {
+        self.run_to_halt(|m| PredecodedTrace::from_machine(m, self.max_steps))
+    }
+
+    /// Runs `run` on a fresh machine and checks the program halted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has not halted once `run` returns.
+    fn run_to_halt<T>(&self, run: impl FnOnce(&mut Machine) -> T) -> T {
         let mut m = self.instantiate();
-        let t = m.run_to_vec(self.max_steps);
+        let out = run(&mut m);
         assert!(
             m.is_halted(),
             "workload {} did not halt within {} steps",
             self.name,
             self.max_steps
         );
-        t
+        out
     }
 }
 

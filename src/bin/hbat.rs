@@ -475,19 +475,15 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let trace = {
-                let _p = prof::scope("trace-build");
-                bench.build(&cfg.workload).trace()
-            };
             let uops = {
-                let _p = prof::scope("predecode");
-                PredecodedTrace::predecode(&trace)
+                let _p = prof::scope("trace-build");
+                bench.build(&cfg.workload).uops()
             };
             let m = {
                 let _p = prof::scope("detailed-run");
                 run_cell(&uops, None, design, &cfg, NullRecorder)
             };
-            println!("{bench}: {} instructions\n", trace.len());
+            println!("{bench}: {} instructions\n", uops.len());
             print_metrics(design, &m);
             Ok(())
         }
@@ -495,13 +491,9 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
             let bench = opts.bench(0)?;
             let design = opts.design(1)?;
             let cfg = opts.experiment();
-            let trace = {
-                let _p = prof::scope("trace-build");
-                bench.build(&cfg.workload).trace()
-            };
             let uops = {
-                let _p = prof::scope("predecode");
-                PredecodedTrace::predecode(&trace)
+                let _p = prof::scope("trace-build");
+                bench.build(&cfg.workload).uops()
             };
             if let Some(plan) = opts.sample_plan()? {
                 if opts.intervals.is_some() {
@@ -517,7 +509,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                     "{bench} on {} ({}): {} instructions, sampled {} (windows:len:warmup)\n",
                     design.mnemonic(),
                     design.description(),
-                    trace.len(),
+                    uops.len(),
                     plan.render()
                 );
                 print_sample_windows(&cell.windows);
@@ -564,7 +556,7 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 "{bench} on {} ({}): {} instructions, {} cycles, IPC {:.3}\n",
                 design.mnemonic(),
                 design.description(),
-                trace.len(),
+                uops.len(),
                 m.cycles,
                 m.ipc()
             );
@@ -821,7 +813,10 @@ fn run_command(cmd: &str, opts: &Options) -> Result<(), String> {
                 std::io::BufReader::new(std::fs::File::open(path).map_err(|e| e.to_string())?);
             let trace = tracefile::read_trace(&mut f).map_err(|e| e.to_string())?;
             let cfg = opts.experiment();
-            let uops = PredecodedTrace::predecode(&trace);
+            let uops = {
+                let _p = prof::scope("predecode");
+                PredecodedTrace::predecode(&trace)
+            };
             let m = run_cell(&uops, None, design, &cfg, NullRecorder);
             println!("{path}: {} instructions\n", trace.len());
             print_metrics(design, &m);

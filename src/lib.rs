@@ -30,10 +30,10 @@
 //! ```
 //! use hbat_suite::prelude::*;
 //!
-//! // Build the paper's M8 design and one benchmark, predecode its
-//! // dynamic trace once, then measure IPC.
+//! // Build the paper's M8 design and one benchmark, run it once into
+//! // predecoded micro-ops, then measure IPC.
 //! let workload = Benchmark::Espresso.build(&WorkloadConfig::new(Scale::Test));
-//! let uops = PredecodedTrace::predecode(&workload.trace());
+//! let uops = workload.uops();
 //! let mut tlb = DesignSpec::parse("M8")?.build(PageGeometry::KB4, 1996);
 //! let metrics = simulate_uops(&SimConfig::baseline(), &uops, tlb.as_mut());
 //! assert!(metrics.ipc() > 0.5);
@@ -50,7 +50,7 @@
 //! use hbat_suite::prelude::*;
 //!
 //! let cfg = ExperimentConfig::baseline(Scale::Test);
-//! let uops = PredecodedTrace::predecode(&Benchmark::Compress.build(&cfg.workload).trace());
+//! let uops = Benchmark::Compress.build(&cfg.workload).uops();
 //!
 //! // One cell, observed: the recorder attributes every cycle.
 //! let m8 = DesignSpec::parse("M8")?;
